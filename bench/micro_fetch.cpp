@@ -1,10 +1,12 @@
-// Fetch→classify hot-path benchmark: per-call-regex reference vs the
-// compiled pattern library (classifyBlockPage), and the tree-based reference
-// category store vs the flat CategoryDatabase, on synthetic campaign-scale
-// workloads. Emits BENCH_fetch.json (campaign_e2e merges its end-to-end
-// numbers into the same file).
+// Fetch→classify hot-path benchmark: the per-call <regex> reference vs the
+// compiled pattern library (classifyBlockPage), timed apart on benign pages
+// and on vendor block pages, and the tree-based reference category store vs
+// the flat CategoryDatabase, on synthetic campaign-scale workloads. Emits
+// BENCH_fetch.json (campaign_e2e merges its end-to-end numbers into the same
+// file).
 //
 // Usage: micro_fetch [--quick] [--out PATH]
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -12,6 +14,7 @@
 #include <iostream>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "filters/category_db.h"
@@ -79,10 +82,11 @@ http::Response benignPage(util::Rng& rng, int i) {
 
 /// One synthetic fetch result: ~15% vendor block pages (spread across the
 /// four products' signature shapes), the rest benign pages of varying size —
-/// roughly a campaign against a censored network.
-simnet::FetchResult makeResult(util::Rng& rng, int i) {
+/// roughly a campaign against a censored network. `blockPage` reports which.
+simnet::FetchResult makeResult(util::Rng& rng, int i, bool& blockPage) {
   simnet::FetchResult result;
-  if (!rng.chance(0.15)) {
+  blockPage = rng.chance(0.15);
+  if (!blockPage) {
     result.response = benignPage(rng, i);
     return result;
   }
@@ -235,46 +239,69 @@ report::Json benchAtSize(int urls, int reps) {
   out["urls"] = report::Json::number(std::int64_t{urls});
 
   // --- classifyBlockPage: reference vs compiled -------------------------
+  // Benign pages and block pages are timed apart: a benign page is tried
+  // against every pattern, a block page stops at its first match.
   util::Rng rng(20130814u + static_cast<std::uint64_t>(urls));
-  std::vector<simnet::FetchResult> results;
-  results.reserve(static_cast<std::size_t>(urls));
-  for (int i = 0; i < urls; ++i) results.push_back(makeResult(rng, i));
+  std::vector<simnet::FetchResult> groups[2];  // [0] benign, [1] block pages
+  for (int i = 0; i < urls; ++i) {
+    bool blockPage = false;
+    auto result = makeResult(rng, i, blockPage);
+    groups[blockPage ? 1 : 0].push_back(std::move(result));
+  }
 
   const auto& patterns = measure::builtinBlockPagePatterns();
-  std::vector<std::optional<measure::BlockPageMatch>> referenceMatches(
-      results.size());
-  const double classifyReferenceMs = bestOf(reps, [&] {
-    for (std::size_t i = 0; i < results.size(); ++i)
-      referenceMatches[i] =
-          measure::classifyBlockPageReference(results[i], patterns);
-  });
-
-  std::vector<std::optional<measure::BlockPageMatch>> fastMatches(
-      results.size());
-  const double classifyFastMs = bestOf(reps, [&] {
-    for (std::size_t i = 0; i < results.size(); ++i)
-      fastMatches[i] = measure::classifyBlockPage(results[i]);
-  });
-
+  double classifyReferenceMs = 0.0;
+  double classifyFastMs = 0.0;
+  std::uint64_t referenceHash = 0xCBF29CE484222325ULL;
+  std::uint64_t fastHash = 0xCBF29CE484222325ULL;
   int blocked = 0;
-  for (const auto& match : fastMatches)
-    if (match) ++blocked;
+  for (const int group : {0, 1}) {
+    const auto& results = groups[group];
+    std::vector<std::optional<measure::BlockPageMatch>> referenceMatches(
+        results.size());
+    const double referenceMs = bestOf(reps, [&] {
+      for (std::size_t i = 0; i < results.size(); ++i)
+        referenceMatches[i] =
+            measure::classifyBlockPageReference(results[i], patterns);
+    });
+    std::vector<std::optional<measure::BlockPageMatch>> fastMatches(
+        results.size());
+    const double fastMs = bestOf(reps, [&] {
+      for (std::size_t i = 0; i < results.size(); ++i)
+        fastMatches[i] = measure::classifyBlockPage(results[i]);
+    });
+    for (const auto& match : fastMatches)
+      if (match) ++blocked;
+
+    const std::string name = group == 0 ? "classify_benign" : "classify_blockpage";
+    const double traces = static_cast<double>(std::max<std::size_t>(1, results.size()));
+    const auto groupReferenceHash = hashMatches(referenceMatches);
+    const auto groupFastHash = hashMatches(fastMatches);
+    out[name + "_traces"] =
+        report::Json::number(static_cast<std::int64_t>(results.size()));
+    out[name + "_reference_ns"] = report::Json::number(referenceMs * 1e6 / traces);
+    out[name + "_fast_ns"] = report::Json::number(fastMs * 1e6 / traces);
+    out[name + "_hash_equal"] =
+        report::Json::boolean(groupReferenceHash == groupFastHash);
+    classifyReferenceMs += referenceMs;
+    classifyFastMs += fastMs;
+    referenceHash = fnv1a64(hex(groupReferenceHash), referenceHash);
+    fastHash = fnv1a64(hex(groupFastHash), fastHash);
+  }
+
   out["classify_blocked"] = report::Json::number(std::int64_t{blocked});
   out["classify_reference_ms"] = report::Json::number(classifyReferenceMs);
   out["classify_fast_ms"] = report::Json::number(classifyFastMs);
   out["classify_speedup"] =
       report::Json::number(classifyReferenceMs / classifyFastMs);
-  out["classify_reference_hash"] =
-      report::Json::string(hex(hashMatches(referenceMatches)));
-  out["classify_fast_hash"] =
-      report::Json::string(hex(hashMatches(fastMatches)));
-  out["classify_hash_equal"] = report::Json::boolean(
-      hashMatches(referenceMatches) == hashMatches(fastMatches));
+  out["classify_reference_hash"] = report::Json::string(hex(referenceHash));
+  out["classify_fast_hash"] = report::Json::string(hex(fastHash));
+  out["classify_hash_equal"] = report::Json::boolean(referenceHash == fastHash);
 
   // --- effective categories (the per-intercept lookup): tree vs flat ----
   auto workload = makeCategorizeWorkload(urls, rng);
 
-  std::uint64_t referenceHash = 0;
+  std::uint64_t categorizeReferenceHash = 0;
   const double categorizeReferenceMs = bestOf(reps, [&] {
     std::uint64_t h = 0xCBF29CE484222325ULL;
     for (std::size_t i = 0; i < workload.probes.size(); ++i) {
@@ -289,10 +316,10 @@ report::Json benchAtSize(int urls, int reps) {
         h = (h ^ static_cast<std::uint64_t>(category)) * 0x100000001B3ULL;
       h = (h ^ 0xFFu) * 0x100000001B3ULL;
     }
-    referenceHash = h;
+    categorizeReferenceHash = h;
   });
 
-  std::uint64_t fastHash = 0;
+  std::uint64_t categorizeFastHash = 0;
   const double categorizeFastMs = bestOf(reps, [&] {
     std::uint64_t h = 0xCBF29CE484222325ULL;
     filters::CategorySet scratch;
@@ -305,7 +332,7 @@ report::Json benchAtSize(int urls, int reps) {
         h = (h ^ static_cast<std::uint64_t>(category)) * 0x100000001B3ULL;
       h = (h ^ 0xFFu) * 0x100000001B3ULL;
     }
-    fastHash = h;
+    categorizeFastHash = h;
   });
 
   out["categorize_entries"] = report::Json::number(static_cast<std::int64_t>(
@@ -314,10 +341,11 @@ report::Json benchAtSize(int urls, int reps) {
   out["categorize_fast_ms"] = report::Json::number(categorizeFastMs);
   out["categorize_speedup"] =
       report::Json::number(categorizeReferenceMs / categorizeFastMs);
-  out["categorize_reference_hash"] = report::Json::string(hex(referenceHash));
-  out["categorize_fast_hash"] = report::Json::string(hex(fastHash));
+  out["categorize_reference_hash"] =
+      report::Json::string(hex(categorizeReferenceHash));
+  out["categorize_fast_hash"] = report::Json::string(hex(categorizeFastHash));
   out["categorize_hash_equal"] =
-      report::Json::boolean(referenceHash == fastHash);
+      report::Json::boolean(categorizeReferenceHash == categorizeFastHash);
 
   std::cerr << "urls=" << urls << " classify ref=" << classifyReferenceMs
             << "ms fast=" << classifyFastMs << "ms ("
@@ -350,6 +378,8 @@ int main(int argc, char** argv) {
 
   report::Json root = report::Json::object();
   root["bench"] = report::Json::string("micro_fetch");
+  root["cores"] = report::Json::number(
+      static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   root["reps"] = report::Json::number(std::int64_t{reps});
 
   report::Json runs = report::Json::array();

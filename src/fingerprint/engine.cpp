@@ -22,7 +22,10 @@ Engine Engine::withBuiltinSignatures() {
           {Matcher::locationContains("www.cfauth.com"), 1.0},
           {Matcher::locationContains("cfru="), 0.95},
           {Matcher::headerContains("Server", "ProxySG"), 1.0},
-          {Matcher::titleContains("ProxySG"), 0.9},
+          // A title mentioning ProxySG is weak evidence (reviews and forum
+          // pages carry it); below threshold on its own. Real consoles also
+          // send "Server: Blue Coat ProxySG".
+          {Matcher::titleContains("ProxySG"), 0.45},
       },
       0.5,
   });

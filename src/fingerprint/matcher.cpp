@@ -1,7 +1,6 @@
 #include "fingerprint/matcher.h"
 
 #include "net/url.h"
-#include "util/regex.h"
 #include "util/strings.h"
 
 namespace urlf::fingerprint {
@@ -74,9 +73,7 @@ Matcher Matcher::headerRegex(std::string name, const std::string& pattern) {
   m.kind_ = Kind::kHeaderRegex;
   m.headerName_ = std::move(name);
   m.needle_ = pattern;
-  // Shared compile-once pool: the same pattern source used by a block-page
-  // recognizer or another fingerprint compiles exactly once per process.
-  m.regex_ = util::compileIcaseRegex(pattern);
+  m.regex_ = std::make_shared<const util::IcaseRegex>(pattern);
   return m;
 }
 
@@ -84,7 +81,7 @@ Matcher Matcher::bodyRegex(const std::string& pattern) {
   Matcher m;
   m.kind_ = Kind::kBodyRegex;
   m.needle_ = pattern;
-  m.regex_ = util::compileIcaseRegex(pattern);
+  m.regex_ = std::make_shared<const util::IcaseRegex>(pattern);
   return m;
 }
 
@@ -131,16 +128,15 @@ std::optional<std::string> Matcher::match(
       return std::nullopt;
     case Kind::kHeaderRegex: {
       for (const auto value : obs.headers.getAll(headerName_)) {
-        const std::string text(value);
-        if (std::regex_search(text, *regex_))
-          return headerName_ + ": " + text;
+        if (regex_->search(value))
+          return headerName_ + ": " + std::string(value);
       }
       return std::nullopt;
     }
     case Kind::kBodyRegex: {
-      std::smatch match;
-      if (std::regex_search(obs.body, match, *regex_))
-        return "body matches: " + match.str(0);
+      if (const auto match = regex_->search(obs.body, view.loweredBody))
+        return "body matches: " +
+               obs.body.substr(match->position, match->length);
       return std::nullopt;
     }
   }

@@ -4,11 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <regex>
 #include <string>
 
 #include "http/header_map.h"
 #include "net/ipv4.h"
+#include "util/icase_regex.h"
 
 namespace urlf::fingerprint {
 
@@ -67,11 +67,12 @@ class Matcher {
   static Matcher locationRedirect(std::uint16_t port, std::string queryKey);
   /// Exact status code.
   static Matcher statusEquals(int code);
-  /// Header `name` has a value matching an ECMAScript regex
-  /// (case-insensitive) — WhatWeb's native rule form. Throws
-  /// std::regex_error on a malformed pattern.
+  /// Header `name` has a value matching a case-insensitive regex —
+  /// WhatWeb's native rule form, in the util::IcaseRegex subset of
+  /// ECMAScript. Throws std::regex_error on a malformed pattern or one
+  /// outside the subset.
   static Matcher headerRegex(std::string name, const std::string& pattern);
-  /// Body matches an ECMAScript regex (case-insensitive).
+  /// Body matches a case-insensitive regex (util::IcaseRegex subset).
   static Matcher bodyRegex(const std::string& pattern);
 
   /// Evidence string when matched, nullopt otherwise.
@@ -105,8 +106,8 @@ class Matcher {
   std::string loweredNeedle_;  ///< needle_ case-folded once at construction
   std::uint16_t port_ = 0;
   int status_ = 0;
-  /// Compiled regex for the regex kinds (shared so Matcher stays copyable).
-  std::shared_ptr<const std::regex> regex_;
+  /// Parsed regex for the regex kinds (shared so copies stay cheap).
+  std::shared_ptr<const util::IcaseRegex> regex_;
 };
 
 }  // namespace urlf::fingerprint

@@ -4,7 +4,6 @@
 
 #include "http/wire.h"
 #include "measure/pattern_library.h"
-#include "util/regex.h"
 
 namespace urlf::measure {
 
@@ -59,19 +58,7 @@ void fetchTraceInto(const simnet::FetchResult& result, std::string& out) {
 std::optional<BlockPageMatch> classifyBlockPage(
     const simnet::FetchResult& result,
     const std::vector<BlockPagePattern>& patterns) {
-  if (!result.ok() && result.redirectChain.empty()) return std::nullopt;
-  thread_local std::string trace;
-  fetchTraceInto(result, trace);
-  for (const auto& pattern : patterns) {
-    // Compiled once per distinct pattern source via the process-wide cache;
-    // repeated calls with the same library pay only a hash lookup.
-    const std::regex& re = *util::compileIcaseRegex(pattern.regex);
-    std::smatch match;
-    if (std::regex_search(trace, match, re)) {
-      return BlockPageMatch{pattern.product, pattern.name, match.str(0)};
-    }
-  }
-  return std::nullopt;
+  return CompiledPatternLibrary(patterns).classify(result);
 }
 
 std::optional<BlockPageMatch> classifyBlockPageReference(

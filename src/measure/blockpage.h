@@ -17,7 +17,7 @@ namespace urlf::measure {
 struct BlockPagePattern {
   filters::ProductKind product = filters::ProductKind::kBlueCoat;
   std::string name;    ///< e.g. "smartfilter-via-header"
-  std::string regex;   ///< ECMAScript regex, applied case-insensitively
+  std::string regex;   ///< case-insensitive regex, util::IcaseRegex subset
 };
 
 /// The built-in pattern library for the four products.
@@ -40,24 +40,28 @@ void fetchTraceInto(const simnet::FetchResult& result, std::string& out);
 
 /// How classification evaluates its pattern library.
 enum class ClassifyMode {
-  kCompiled,   ///< compile-once regexes + literal prefilter (default)
-  kReference,  ///< per-call std::regex construction, no prefilter
+  kCompiled,   ///< literal-anchored util::IcaseRegex matchers (default)
+  kReference,  ///< the standard <regex> engine, built per call
 };
 
 /// Classify a fetch as a vendor block page, if any pattern matches. Uses the
-/// shared compiled library over builtinBlockPagePatterns().
+/// shared CompiledPatternLibrary over builtinBlockPagePatterns(), whose
+/// literal-anchored matchers reject a benign trace with one case fold and a
+/// memmem per pattern branch.
 [[nodiscard]] std::optional<BlockPageMatch> classifyBlockPage(
     const simnet::FetchResult& result);
 
-/// Same, with a caller-supplied pattern library. Regexes compile once per
-/// distinct pattern source (process-wide cache), not per call.
+/// Same, with a caller-supplied pattern library (mined patterns included),
+/// parsed into one CompiledPatternLibrary for this call. Throws
+/// std::regex_error when a pattern is outside the util::IcaseRegex subset.
 [[nodiscard]] std::optional<BlockPageMatch> classifyBlockPage(
     const simnet::FetchResult& result,
     const std::vector<BlockPagePattern>& patterns);
 
-/// Reference classifier: constructs every pattern's std::regex on each call
-/// and runs it unconditionally. Semantically identical to the fast paths;
-/// kept as the equivalence baseline for tests and benchmarks.
+/// Reference classifier: builds every pattern with the standard <regex>
+/// engine (ECMAScript, icase) on each call and runs it unconditionally. The
+/// test oracle the compiled library must equal byte for byte; the campaign's
+/// kReference mode and the benchmarks replay through it too.
 [[nodiscard]] std::optional<BlockPageMatch> classifyBlockPageReference(
     const simnet::FetchResult& result,
     const std::vector<BlockPagePattern>& patterns);

@@ -1,7 +1,5 @@
 #include "measure/pattern_library.h"
 
-#include <regex>
-
 #include "util/strings.h"
 
 namespace urlf::measure {
@@ -10,11 +8,8 @@ CompiledPatternLibrary::CompiledPatternLibrary(
     std::vector<BlockPagePattern> patterns) {
   entries_.reserve(patterns.size());
   for (auto& pattern : patterns) {
-    std::string literal = util::requiredLiteral(pattern.regex);
-    if (!literal.empty()) anyLiteral_ = true;
-    util::LazyRegex regex(pattern.regex);
-    entries_.push_back(
-        Entry{std::move(pattern), std::move(regex), std::move(literal)});
+    util::IcaseRegex regex(pattern.regex);
+    entries_.push_back(Entry{std::move(pattern), std::move(regex)});
   }
 }
 
@@ -35,19 +30,13 @@ std::optional<BlockPageMatch> CompiledPatternLibrary::classify(
 
 std::optional<BlockPageMatch> CompiledPatternLibrary::classifyTrace(
     const std::string& trace) const {
+  // One fold per trace, shared by every pattern's literal prefilter.
   thread_local std::string folded;
-  if (anyLiteral_) util::toLowerInto(trace, folded);
+  util::toLowerInto(trace, folded);
   for (const auto& entry : entries_) {
-    // The literal is case-folded and required in every match; its absence
-    // from the folded trace proves the (case-insensitive) regex cannot
-    // match, so the expensive search is skipped.
-    if (!entry.literal.empty() &&
-        folded.find(entry.literal) == std::string::npos)
-      continue;
-    std::smatch match;
-    if (std::regex_search(trace, match, entry.regex.get())) {
+    if (const auto match = entry.regex.search(trace, folded)) {
       return BlockPageMatch{entry.source.product, entry.source.name,
-                            match.str(0)};
+                            trace.substr(match->position, match->length)};
     }
   }
   return std::nullopt;

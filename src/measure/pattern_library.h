@@ -7,27 +7,27 @@
 #include <vector>
 
 #include "measure/blockpage.h"
-#include "util/regex.h"
+#include "util/icase_regex.h"
 
 namespace urlf::measure {
 
 /// A block-page pattern set prepared for repeated classification.
 ///
-/// The reference classifier (classifyBlockPageReference) constructs a
-/// std::regex per pattern per call; at campaign scale that construction
-/// dominates the classify path. This library compiles each pattern exactly
-/// once — lazily and thread-safely, through the process-wide cache shared
-/// with fingerprint::Matcher — and additionally extracts a case-folded
-/// literal that must occur in every match (util::requiredLiteral). A trace
-/// that does not contain the literal is rejected with a memchr-class scan
-/// and the regex never runs at all; on a typical campaign the overwhelming
-/// majority of traces are benign and the prefilter short-circuits them.
+/// Every pattern is parsed once, at construction, into a util::IcaseRegex:
+/// a literal-anchored matcher for the regex subset vendor patterns use.
+/// Classifying a trace folds it to lowercase once; each pattern then
+/// rejects it with one memmem per branch unless the branch's required
+/// literal occurs, and only then verifies candidate starts with a bounded
+/// backtracking check. A benign trace never reaches the verifier.
 ///
-/// Classification semantics are byte-identical to the reference classifier:
-/// patterns are tried in order, the first match wins, and the evidence is
-/// match.str(0) against the original (non-folded) trace.
+/// Classification is byte-identical to the reference classifier
+/// (classifyBlockPageReference): patterns are tried in order, the first
+/// match wins, and the evidence is the leftmost match's text, as the
+/// ECMAScript engine reports it, from the original (unfolded) trace.
 class CompiledPatternLibrary {
  public:
+  /// Throws std::regex_error when a pattern is malformed or outside the
+  /// util::IcaseRegex subset.
   explicit CompiledPatternLibrary(std::vector<BlockPagePattern> patterns);
 
   /// The shared library over builtinBlockPagePatterns().
@@ -50,11 +50,9 @@ class CompiledPatternLibrary {
  private:
   struct Entry {
     BlockPagePattern source;
-    util::LazyRegex regex;
-    std::string literal;  ///< case-folded required literal; "" = no prefilter
+    util::IcaseRegex regex;
   };
   std::vector<Entry> entries_;
-  bool anyLiteral_ = false;  ///< fold the trace only when a prefilter exists
 };
 
 }  // namespace urlf::measure

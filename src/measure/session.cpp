@@ -1,6 +1,7 @@
 #include "measure/session.h"
 
 #include "http/wire.h"
+#include "measure/pattern_library.h"
 
 namespace urlf::measure {
 
@@ -194,8 +195,9 @@ std::optional<std::vector<UrlTestResult>> importSession(std::string_view text) {
 std::vector<UrlTestResult> reclassify(
     std::vector<UrlTestResult> results,
     const std::vector<BlockPagePattern>& patterns) {
+  const CompiledPatternLibrary library(patterns);
   for (auto& result : results) {
-    result.blockPage = classifyBlockPage(result.field, patterns);
+    result.blockPage = library.classify(result.field);
     result.verdict =
         Client::compare(result.field, result.lab, result.blockPage);
   }

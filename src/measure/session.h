@@ -28,7 +28,8 @@ namespace urlf::measure {
 
 /// Re-run block-page classification and the §4.1 verdict rule over recorded
 /// results with a (possibly new) pattern library — the "automated analysis"
-/// pass.
+/// pass. The patterns are parsed once per call, into one
+/// CompiledPatternLibrary.
 [[nodiscard]] std::vector<UrlTestResult> reclassify(
     std::vector<UrlTestResult> results,
     const std::vector<BlockPagePattern>& patterns);

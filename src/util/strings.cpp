@@ -6,11 +6,13 @@
 namespace urlf::util {
 
 namespace {
+// ASCII-only case mapping, as std::tolower/toupper in the "C" locale, but
+// inline and branch-free so folding a whole fetch trace vectorizes.
 char lowerChar(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return static_cast<char>(c + ((c >= 'A' && c <= 'Z') ? 'a' - 'A' : 0));
 }
 char upperChar(char c) {
-  return static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  return static_cast<char>(c - ((c >= 'a' && c <= 'z') ? 'a' - 'A' : 0));
 }
 bool isSpace(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
 }  // namespace

@@ -149,11 +149,11 @@ void parallelForChunks(
   for (std::size_t h = 0; h < helpers; ++h) {
     pool.submit([&run] {
       run.drain();
-      {
-        const std::lock_guard<std::mutex> lock(run.mutex);
-        --run.pendingHelpers;
-      }
-      run.done.notify_one();
+      // Notify under the lock: the caller owns `run` on its stack and may
+      // return (destroying it) as soon as it sees zero, so no helper may
+      // touch `run` after releasing the mutex.
+      const std::lock_guard<std::mutex> lock(run.mutex);
+      if (--run.pendingHelpers == 0) run.done.notify_one();
     });
   }
 

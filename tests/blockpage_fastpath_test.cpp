@@ -1,65 +1,161 @@
-// The fetch→classify fast path: requiredLiteral prefilter extraction, the
-// compiled pattern library vs the per-call reference classifier, and the
+// The fetch→classify fast path: the literal-anchored util::IcaseRegex
+// against the standard <regex> engine it replaces (the oracle), the compiled
+// pattern library vs the per-call reference classifier, and the
 // batched/memoized measurement client vs the serial one.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <optional>
+#include <regex>
 #include <string>
 #include <vector>
 
 #include "measure/blockpage.h"
 #include "measure/client.h"
+#include "measure/mining.h"
 #include "measure/pattern_library.h"
 #include "scenarios/paper_world.h"
-#include "util/regex.h"
+#include "util/icase_regex.h"
 #include "util/rng.h"
 
 namespace urlf {
 namespace {
 
-using util::requiredLiteral;
+// --- IcaseRegex vs the ECMAScript oracle ------------------------------------
 
-TEST(RequiredLiteral, PlainLiteralIsItselfLowercased) {
-  EXPECT_EQ(requiredLiteral("abc"), "abc");
-  EXPECT_EQ(requiredLiteral("AbC-Def"), "abc-def");
+/// The oracle's leftmost match as (position, text), or nullopt.
+std::optional<std::pair<std::size_t, std::string>> oracle(
+    const std::string& pattern, const std::string& text) {
+  const std::regex re(pattern, std::regex::ECMAScript | std::regex::icase);
+  std::smatch match;
+  if (!std::regex_search(text, match, re)) return std::nullopt;
+  return std::make_pair(static_cast<std::size_t>(match.position(0)),
+                        match.str(0));
 }
 
-TEST(RequiredLiteral, AlternationAndGroupsBail) {
-  EXPECT_EQ(requiredLiteral("(a|b)c"), "");
-  EXPECT_EQ(requiredLiteral("foo(bar)"), "");
-  EXPECT_EQ(requiredLiteral("a|b"), "");
+/// IcaseRegex must report exactly the oracle's match: same start, same bytes.
+void expectSameAsOracle(const std::string& pattern, const std::string& text) {
+  const auto want = oracle(pattern, text);
+  const auto got = util::IcaseRegex(pattern).search(text);
+  ASSERT_EQ(want.has_value(), got.has_value())
+      << "pattern /" << pattern << "/ text \"" << text << "\"";
+  if (!want) return;
+  EXPECT_EQ(want->first, got->position) << "pattern /" << pattern << "/";
+  EXPECT_EQ(want->second, text.substr(got->position, got->length))
+      << "pattern /" << pattern << "/ text \"" << text << "\"";
 }
 
-TEST(RequiredLiteral, ClassesDotsAndEscapedClassesBreakRuns) {
-  EXPECT_EQ(requiredLiteral("[0-9.]+:8080/webadmin/deny"),
-            ":8080/webadmin/deny");
-  EXPECT_EQ(requiredLiteral("Via:.*McAfee Web Gateway"), "mcafee web gateway");
-  EXPECT_EQ(requiredLiteral("\\d+foo"), "foo");
-}
-
-TEST(RequiredLiteral, QuantifiersDropOrEndRuns) {
-  // Optional char cannot be required; it splits the literal.
-  EXPECT_EQ(requiredLiteral("abx?cde"), "cde");
-  // '+' requires one occurrence but ends the run after it.
-  EXPECT_EQ(requiredLiteral("a+bc"), "bc");
-  EXPECT_EQ(requiredLiteral("colou*r"), "colo");
-}
-
-TEST(RequiredLiteral, EscapedPunctuationIsLiteral) {
-  EXPECT_EQ(requiredLiteral("www\\.cfauth\\.com/\\?cfru="),
-            "www.cfauth.com/?cfru=");
-}
-
-TEST(RequiredLiteral, BuiltinPatternsYieldUsefulPrefilters) {
-  // Every non-alternation builtin pattern must yield a literal — the library
-  // prefilter is only worth its fold when that holds.
-  for (const auto& pattern : measure::builtinBlockPagePatterns()) {
-    const std::string literal = requiredLiteral(pattern.regex);
-    if (pattern.name == "netsweeper-branding") {
-      EXPECT_EQ(literal, "") << pattern.name;  // alternation — no literal
-    } else {
-      EXPECT_GE(literal.size(), 7u) << pattern.name;
-    }
+std::string mixCase(std::string text, util::Rng& rng) {
+  for (char& c : text) {
+    if (rng.uniform(0, 1) == 0)
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    else
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
+  return text;
+}
+
+TEST(IcaseRegex, DotStopsAtCarriageReturnAndLineFeed) {
+  const std::string via = R"(Via:.*McAfee Web Gateway)";
+  for (const std::string text : {
+           "Via: 1.1 x\r\nServer: McAfee Web Gateway\r\n",
+           "Via: 1.1 x\nMcAfee Web Gateway",
+           "Via: 1.1 x\rMcAfee Web Gateway",
+           "via: 1.1 x (mcafee web gateway)\r\n",
+           "Server: x\r\nVIA: McAfee Web Gateway\r\nVia: none\r\n",
+       })
+    expectSameAsOracle(via, text);
+  // [^<] is not `.`: it crosses line breaks.
+  expectSameAsOracle(R"(<title>[^<]*Blue Coat[^<]*</title>)",
+                     "<title>\r\nBlue\nCoat\r\n Blue Coat\n</title>");
+  EXPECT_FALSE(util::IcaseRegex(via).search("Via: a\nMcAfee Web Gateway"));
+}
+
+TEST(IcaseRegex, GreedyEvidenceRunsToTheLastHitOnTheLine) {
+  const std::string text =
+      "Via: 1.1 McAfee Web Gateway, 1.1 mcafee web gateway 7\r\n"
+      "X-Note: McAfee Web Gateway\r\n";
+  expectSameAsOracle(R"(Via:.*McAfee Web Gateway)", text);
+  const auto match = util::IcaseRegex(R"(Via:.*McAfee Web Gateway)").search(text);
+  ASSERT_TRUE(match.has_value());
+  EXPECT_EQ(text.substr(match->position, match->length),
+            "Via: 1.1 McAfee Web Gateway, 1.1 mcafee web gateway");
+}
+
+TEST(IcaseRegex, TitleContainingLessThan) {
+  const std::string pattern = R"(<title>[^<]*McAfee Web Gateway[^<]*</title>)";
+  for (const std::string text : {
+           "<title>a<b McAfee Web Gateway</title>",
+           "<title>McAfee Web Gateway <x</title><title>McAfee Web Gateway</title>",
+           "<title><title>McAfee Web Gateway</title>",
+           "<title>McAfee Web Gateway</title</title>",
+           "<TITLE>mcafee web gateway</TITLE>",
+       })
+    expectSameAsOracle(pattern, text);
+}
+
+TEST(IcaseRegex, MinedPatternsFromRandomCoresMatchOracle) {
+  // Cores hold every regex special, CRLF and mixed case, as mined traces do.
+  const std::string alphabet = "\\^$.|?*+()[]{}\r\n aZ09-/:=<>\"'";
+  util::Rng rng(151);
+  for (int i = 0; i < 300; ++i) {
+    std::string core;
+    const auto length = rng.uniform(1, 24);
+    for (std::uint64_t k = 0; k < length; ++k)
+      core += alphabet[rng.uniform(0, alphabet.size() - 1)];
+    const std::string pattern = measure::regexEscape(core);
+    std::string noise;
+    for (int k = 0; k < 8; ++k)
+      noise += alphabet[rng.uniform(0, alphabet.size() - 1)];
+    expectSameAsOracle(pattern, noise + mixCase(core, rng) + noise);
+    expectSameAsOracle(pattern, noise + noise);
+    expectSameAsOracle(pattern, core.substr(0, core.size() / 2) + noise);
+  }
+}
+
+/// A random pattern in the subset: up to three branches of quantified
+/// literals, escapes, `.` and brackets, sometimes wrapped in a group.
+std::string randomSubsetPattern(util::Rng& rng) {
+  const std::vector<std::string> atoms{
+      "a",  "B",   "c",     "0",     "-",      "<",       " ",    "\\.",
+      ".",  "\\d", "\\s", "\\w", "[^<]",   "[a-c]",   "[0-9.]", "[\\d.]",
+      "[^a\\s]", "[-a]", "[b-]", "\\?", "\\(", "[A-C]", "\r", "\n"};
+  const std::vector<std::string> quantifiers{"", "", "", "*", "+", "?"};
+  std::string pattern;
+  const auto branches = rng.uniform(1, 3);
+  for (std::uint64_t b = 0; b < branches; ++b) {
+    if (b > 0) pattern += '|';
+    const auto atomsInBranch = rng.uniform(0, 5);
+    for (std::uint64_t a = 0; a < atomsInBranch; ++a)
+      pattern += rng.pick(atoms) + rng.pick(quantifiers);
+  }
+  return rng.uniform(0, 3) == 0 ? "(" + pattern + ")" : pattern;
+}
+
+TEST(IcaseRegex, RandomSubsetPatternsMatchOracle) {
+  const std::string alphabet = "aAbBcC019 .<-_?(\r\n";
+  util::Rng rng(4242);
+  for (int i = 0; i < 3000; ++i) {
+    const std::string pattern = randomSubsetPattern(rng);
+    std::string text;
+    const auto length = rng.uniform(0, 24);
+    for (std::uint64_t k = 0; k < length; ++k)
+      text += alphabet[rng.uniform(0, alphabet.size() - 1)];
+    expectSameAsOracle(pattern, text);
+  }
+}
+
+TEST(IcaseRegex, PatternsOutsideTheSubsetThrow) {
+  for (const char* pattern :
+       {"^abc", "abc$", "a{2}", "a{1,3}", "a*?", "a+?", "a??", "a**", "*a",
+        "+", "(a)(b)", "(a|b)c", "x(a)", "((a))", "(?:a)", "(unclosed", "a)",
+        "\\bword", "\\1", "\\D", "\\x41", "\\n", "[[:alpha:]]", "[abc",
+        "[]", "[^]", "[z-a]", "[a-c-e]", "[\\d-z]", "a\\", "]", "}"}) {
+    EXPECT_THROW(util::IcaseRegex{pattern}, std::regex_error) << pattern;
+  }
+  // Every builtin pattern is inside the subset.
+  for (const auto& pattern : measure::builtinBlockPagePatterns())
+    EXPECT_NO_THROW(util::IcaseRegex{pattern.regex}) << pattern.name;
 }
 
 // --- compiled library vs reference classifier ------------------------------
@@ -128,21 +224,26 @@ TEST(CompiledPatternLibrary, MatchesReferenceClassifierOnCorpus) {
 }
 
 TEST(CompiledPatternLibrary, MatchesReferenceOnRandomizedTraces) {
-  // Random noise around the vendor fragments: the prefilter must never
-  // change the outcome, only skip provably impossible patterns.
+  // Random noise around mixed-case vendor fragments, some spanning lines:
+  // the literal prefilter must never change the outcome, only skip
+  // provably impossible patterns.
   const auto& patterns = measure::builtinBlockPagePatterns();
   const std::vector<std::string> fragments{
       "McAfee Web Gateway",    "www.cfauth.com/?cfru=",
       "webadmin/deny",         "blockpage.cgi?ws-session=",
       "Netsweeper WebAdmin",   "<title>Websense</title>",
       "harmless filler text",  "X-Filter: Netsweeper",
+      "Via: 1.1 proxy (McAfee Web Gateway 7.2)\r\n",
+      "<title>Blue Coat\r\nProxySG</title>",
+      "Location:   http://10.1.2.3:8080/webadmin/deny.php\r\n",
+      "X-Filter:\tNetsweeper\r\n",
   };
   util::Rng rng(424242);
-  for (int i = 0; i < 200; ++i) {
+  for (int i = 0; i < 400; ++i) {
     std::string body;
     const int parts = 1 + static_cast<int>(rng.uniform(0, 3));
     for (int p = 0; p < parts; ++p) {
-      body += rng.pick(fragments);
+      body += mixCase(rng.pick(fragments), rng);
       body += ' ';
       for (int f = 0; f < 10; ++f) body += static_cast<char>(rng.uniform(97, 122));
       body += ' ';

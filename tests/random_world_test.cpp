@@ -6,15 +6,19 @@
 
 #include "core/confirmer.h"
 #include "core/identifier.h"
+#include "scan/banner_index.h"
 #include "scenarios/random_world.h"
+#include "simnet/world_stream.h"
 
 namespace urlf {
 namespace {
 
 using scenarios::RandomWorld;
 
-std::map<filters::ProductKind, std::vector<core::Installation>> identify(
-    RandomWorld& random) {
+using Installations =
+    std::map<filters::ProductKind, std::vector<core::Installation>>;
+
+Installations identify(RandomWorld& random) {
   auto& world = random.world();
   const auto geo = world.buildGeoDatabase();
   const auto whois = world.buildAsnDatabase();
@@ -76,17 +80,15 @@ TEST_P(RandomWorldProperty, IdentificationGeoAndAsnAreCorrect) {
   }
 }
 
-TEST_P(RandomWorldProperty, NoDecoyEverValidates) {
-  RandomWorld random(GetParam());
-  const auto all = identify(random);
-
+/// Every validated installation is a deployment or vendor-operated
+/// infrastructure, which genuinely carries product signatures (Netsweeper's
+/// denypagetests origin and submission portal); decoys and bait never are.
+void expectOnlyDeploymentsOrInfraValidate(RandomWorld& random,
+                                          const Installations& all) {
   std::set<std::uint32_t> deploymentIps;
   for (const auto& info : random.deployments())
     deploymentIps.insert(info.serviceIp.value());
 
-  // Vendor-operated infrastructure genuinely carries product signatures
-  // (Netsweeper's denypagetests origin and submission portal); collect its
-  // addresses so it is allowed but nothing else is.
   std::set<std::uint32_t> vendorInfraIps;
   for (const char* host :
        {"denypagetests.netsweeper.com", "testasite.netsweeper.com",
@@ -104,6 +106,37 @@ TEST_P(RandomWorldProperty, NoDecoyEverValidates) {
           << filters::toString(product);
     }
   }
+}
+
+TEST_P(RandomWorldProperty, NoDecoyEverValidates) {
+  RandomWorld random(GetParam());
+  expectOnlyDeploymentsOrInfraValidate(random, identify(random));
+}
+
+TEST(RandomWorldStream, NoBaitEverValidatesInA100kHostStream) {
+  // 100k streamed hosts at the default 1% bait fraction: about a thousand
+  // pages carry a Table 2 keyword ("proxysg review", "webadmin tutorial",
+  // ...) that search finds and active validation must reject.
+  RandomWorld random(20131023);
+  simnet::ProceduralHostConfig config;
+  config.hosts = 100000;
+  auto stream =
+      std::make_shared<simnet::ProceduralHostStream>(20131023, config);
+  stream->announceInto(random.world());
+  random.world().attachHostStream(std::move(stream));
+  auto& world = random.world();
+  const auto geo = world.buildGeoDatabase();
+  const auto index = scan::crawlStream(world, geo);
+  const core::Identifier identifier(world, index,
+                                    fingerprint::Engine::withBuiltinSignatures(),
+                                    geo, world.buildAsnDatabase());
+  const auto all = identifier.identifyAll();
+  std::size_t candidates = 0;
+  for (const auto product : filters::allProducts())
+    for (const auto& keyword : core::Identifier::shodanKeywords(product))
+      candidates += index.search(scan::Query{keyword, std::nullopt}).size();
+  EXPECT_GT(candidates, 1000u) << "the stream should plant keyword bait";
+  expectOnlyDeploymentsOrInfraValidate(random, all);
 }
 
 TEST_P(RandomWorldProperty, ConfirmationMatchesDeploymentTruth) {

@@ -3,6 +3,8 @@
 // serializers, evaluation metrics, and the regex fingerprint matchers.
 #include <gtest/gtest.h>
 
+#include <regex>
+
 #include "core/evaluation.h"
 #include "core/serialize.h"
 #include "fingerprint/matcher.h"
