@@ -64,10 +64,9 @@ class VendorBlockBox : public simnet::Middlebox {
 
   std::string name() const override { return "bench-netsweeper"; }
 
-  std::optional<simnet::InterceptAction> intercept(
-      http::Request& request, const simnet::InterceptContext&) override {
-    if (hosts_.count(util::toLower(request.url.host())) > 0)
-      return simnet::InterceptAction::respond(
+  std::optional<simnet::Preempt> onRequest(simnet::PathContext& ctx) override {
+    if (hosts_.count(util::toLower(ctx.request.url.host())) > 0)
+      return simnet::Preempt::respond(
           simnet::mimicResponse(MimicTemplate::kNetsweeper));
     return std::nullopt;
   }

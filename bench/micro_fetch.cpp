@@ -155,7 +155,7 @@ std::uint64_t hashMatches(
 
 // --- categorize workload ----------------------------------------------------
 
-/// The Deployment::intercept lookup replaced by this PR: every request
+/// The per-request lookup Deployment::onRequest runs: every request
 /// unions the operator's custom DB with the (update-lagged) master DB. The
 /// reference side reproduces the old code shape — two std::set results
 /// merged into a third per probe; the fast side reuses one CategorySet.

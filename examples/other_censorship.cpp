@@ -7,7 +7,6 @@
 
 #include "filters/smartfilter.h"
 #include "measure/client.h"
-#include "simnet/firewall.h"
 #include "simnet/hosting.h"
 #include "simnet/origin_server.h"
 
@@ -33,11 +32,17 @@ int main() {
   smartFilter.installExternalSurfaces(world, 100);
   isp.attachMiddlebox(smartFilter);
 
-  // Mechanism 2: keyword RST injection.
-  isp.attachMiddlebox(world.makeMiddlebox<simnet::KeywordResetFirewall>(
+  // Mechanism 2: keyword RST injection on the wire.
+  isp.attachPacketFilter(world.makePacketFilter<simnet::RstInjector>(
       "keyword-firewall", std::vector<std::string>{"opposition"}));
 
-  // Mechanism 3: DNS tampering to a blackhole.
+  // Mechanism 3: a resolver poisoner forging answers into a blackhole.
+  auto& poisoner = world.makePacketFilter<simnet::DnsPoisoner>(
+      "resolver-poisoner", simnet::DnsTamper::Kind::kForged,
+      net::Ipv4Addr(10, 0, 99, 99));
+  poisoner.poisonZone("bannedforum.org");
+  isp.attachPacketFilter(poisoner);
+
   const auto blockPageSite =
       hosting.createFreshDomain(simnet::ContentProfile::kAdultImage);
   vendor.masterDb().addHost(blockPageSite.hostname, 1);
@@ -45,7 +50,6 @@ int main() {
                                             simnet::ContentProfile::kNews);
   const auto dnsSite =
       hosting.createDomain("bannedforum.org", simnet::ContentProfile::kNews);
-  isp.addDnsOverride("bannedforum.org", net::Ipv4Addr(10, 0, 99, 99));
   const auto openSite =
       hosting.createFreshDomain(simnet::ContentProfile::kBenign);
 

@@ -18,12 +18,12 @@ std::string BlueCoatProxySG::cfauthRedirect(const net::Url& url) const {
   return "http://www.cfauth.com/?cfru=" + util::base64Encode(url.toString());
 }
 
-simnet::InterceptAction BlueCoatProxySG::buildBlockAction(
+simnet::Preempt BlueCoatProxySG::buildBlockAction(
     const http::Request& request,
     const std::set<CategoryId>& /*blockedCategories*/,
     const simnet::InterceptContext& /*ctx*/) {
   if (policy().stripBranding) {
-    return simnet::InterceptAction::respond(http::Response::make(
+    return simnet::Preempt::respond(http::Response::make(
         http::Status::kForbidden,
         http::makePage("Access Denied",
                        "<h1>Access Denied</h1><p>This page cannot be "
@@ -32,22 +32,21 @@ simnet::InterceptAction BlueCoatProxySG::buildBlockAction(
   auto resp = http::Response::make(http::Status::kFound);
   resp.headers.add("Location", cfauthRedirect(request.url));
   resp.headers.add("Server", "Blue Coat ProxySG");
-  return simnet::InterceptAction::respond(std::move(resp));
+  return simnet::Preempt::respond(std::move(resp));
 }
 
-std::optional<simnet::InterceptAction> BlueCoatProxySG::intercept(
-    http::Request& request, const simnet::InterceptContext& ctx) {
+std::optional<simnet::Preempt> BlueCoatProxySG::onRequest(
+    simnet::PathContext& ctx) {
   if (engine_ != nullptr) {
     // Tandem mode (Challenge 3): the engine decides; our own Web Filter DB
     // and blocked-category policy are not consulted at all.
-    return engine_->intercept(request, ctx);
+    return engine_->onRequest(ctx);
   }
-  return Deployment::intercept(request, ctx);
+  return Deployment::onRequest(ctx);
 }
 
-void BlueCoatProxySG::postProcess(const http::Request& /*request*/,
-                                  http::Response& response,
-                                  const simnet::InterceptContext& /*ctx*/) {
+void BlueCoatProxySG::onResponse(simnet::PathContext& /*ctx*/,
+                                 http::Response& response) {
   // The appliance is a transparent proxy regardless of which engine filters;
   // it stamps proxy headers on forwarded traffic unless debranded.
   if (policy().stripBranding) return;

@@ -1,6 +1,8 @@
 #ifndef URLF_FILTERS_BLUECOAT_H
 #define URLF_FILTERS_BLUECOAT_H
 
+#include <algorithm>
+
 #include "filters/deployment.h"
 
 namespace urlf::filters {
@@ -26,21 +28,21 @@ class BlueCoatProxySG : public Deployment {
 
   void installExternalSurfaces(simnet::World& world, std::uint32_t asn) override;
 
-  std::optional<simnet::InterceptAction> intercept(
-      http::Request& request, const simnet::InterceptContext& ctx) override;
+  std::optional<simnet::Preempt> onRequest(simnet::PathContext& ctx) override;
 
-  void postProcess(const http::Request& request, http::Response& response,
-                   const simnet::InterceptContext& ctx) override;
+  void onResponse(simnet::PathContext& ctx, http::Response& response) override;
 
-  /// The tandem delegates filtering, so the engine's side effects (e.g. a
-  /// queue-on-access Netsweeper) are this box's side effects too.
-  [[nodiscard]] bool interceptHasSideEffects() const override {
-    return Deployment::interceptHasSideEffects() ||
-           (engine_ != nullptr && engine_->interceptHasSideEffects());
+  /// The tandem delegates filtering, so the engine's dice and side effects
+  /// (e.g. a queue-on-access Netsweeper) are this box's too.
+  [[nodiscard]] simnet::Cacheability cacheability(
+      const simnet::VantagePoint& vantage) const override {
+    const simnet::Cacheability own = Deployment::cacheability(vantage);
+    return engine_ != nullptr ? std::min(own, engine_->cacheability(vantage))
+                              : own;
   }
 
  protected:
-  simnet::InterceptAction buildBlockAction(
+  simnet::Preempt buildBlockAction(
       const http::Request& request, const std::set<CategoryId>& blockedCategories,
       const simnet::InterceptContext& ctx) override;
 

@@ -30,7 +30,7 @@ namespace urlf::filters {
 /// interned (lowercased-at-insert) keys, with each entry a small
 /// category-sorted vector. The *Into/As-of fast paths below are
 /// allocation-free after warm-up (thread-local key scratch + caller-reused
-/// CategorySet) and are what Deployment::intercept runs per request; the
+/// CategorySet) and are what Deployment::onRequest runs per request; the
 /// std::set-returning methods are thin adapters kept for existing callers.
 /// ReferenceCategoryStore preserves the original tree-based implementation
 /// for equivalence testing.

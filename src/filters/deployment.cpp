@@ -84,8 +84,12 @@ std::uint64_t Deployment::stateEpoch() const {
   return epoch;
 }
 
-bool Deployment::deterministicIntercept() const {
-  return policy_.offlineProbability <= 0.0;
+simnet::Cacheability Deployment::cacheability(
+    const simnet::VantagePoint& vantage) const {
+  (void)vantage;
+  if (policy_.offlineProbability > 0.0) return simnet::Cacheability::kNone;
+  return policy_.queueAccessedUrls ? simnet::Cacheability::kLocal
+                                   : simnet::Cacheability::kShared;
 }
 
 bool Deployment::isOwnServiceTraffic(const http::Request& request) const {
@@ -93,8 +97,10 @@ bool Deployment::isOwnServiceTraffic(const http::Request& request) const {
   return request.url.host() == serviceIp_.toString();
 }
 
-std::optional<simnet::InterceptAction> Deployment::intercept(
-    http::Request& request, const simnet::InterceptContext& ctx) {
+std::optional<simnet::Preempt> Deployment::onRequest(
+    simnet::PathContext& path) {
+  http::Request& request = path.request;
+  const simnet::InterceptContext& ctx = path.policy;
   // Vendor-side queues advance lazily with simulated time.
   vendor_->processUntil(ctx.now);
   ++requestsSeen_;

@@ -47,23 +47,22 @@ class Deployment : public simnet::Middlebox {
   /// snapshot from here on (Websense/Yemen 2009 [35]).
   void freezeUpdates();
 
-  std::optional<simnet::InterceptAction> intercept(
-      http::Request& request, const simnet::InterceptContext& ctx) override;
+  /// Classify `ctx.request` under the policy view `ctx.policy` and block
+  /// per the operator's policy.
+  std::optional<simnet::Preempt> onRequest(simnet::PathContext& ctx) override;
 
   /// Covers every database whose mutation can change a verdict: the vendor
   /// master DB, the operator's custom DB, and the frozen snapshot (whose
   /// presence itself flips which DB is consulted).
   [[nodiscard]] std::uint64_t stateEpoch() const override;
 
-  /// Queue-on-access deployments (§4.4) mutate the vendor crawl queue per
-  /// fetch; their verdicts must not be shared across session worlds.
-  [[nodiscard]] bool interceptHasSideEffects() const override {
-    return policy().queueAccessedUrls;
-  }
-
-  /// False when this deployment rolls dice per exchange (offlineProbability)
+  /// kNone when this deployment rolls dice per exchange (offlineProbability)
   /// — its verdicts must be re-drawn, never memoized or replay-skipped.
-  [[nodiscard]] bool deterministicIntercept() const override;
+  /// kLocal for queue-on-access deployments (§4.4): each fetch mutates the
+  /// vendor crawl queue, so their verdicts must not be shared across
+  /// session worlds.
+  [[nodiscard]] simnet::Cacheability cacheability(
+      const simnet::VantagePoint& vantage) const override;
 
   // --- statistics -----------------------------------------------------------
   [[nodiscard]] std::uint64_t requestsSeen() const { return requestsSeen_; }
@@ -83,21 +82,21 @@ class Deployment : public simnet::Middlebox {
       const net::Url& url, util::SimTime now) const;
 
   /// Allocation-free variant: unions into `out` (does not clear). This is
-  /// the per-request path intercept() runs.
+  /// the per-request path onRequest() runs.
   void effectiveCategoriesInto(const net::Url& url, util::SimTime now,
                                CategorySet& out) const;
 
  protected:
   /// Build this product's signature block behaviour for a request that
   /// matched `blockedCategories`.
-  [[nodiscard]] virtual simnet::InterceptAction buildBlockAction(
+  [[nodiscard]] virtual simnet::Preempt buildBlockAction(
       const http::Request& request, const std::set<CategoryId>& blockedCategories,
       const simnet::InterceptContext& ctx) = 0;
 
   /// Hook for products that annotate allowed traffic (proxy Via headers) or
   /// special-case certain hosts. Called when the standard path does not
   /// block. Default: let the request through untouched.
-  [[nodiscard]] virtual std::optional<simnet::InterceptAction> onPassThrough(
+  [[nodiscard]] virtual std::optional<simnet::Preempt> onPassThrough(
       http::Request& request, const simnet::InterceptContext& ctx) {
     (void)request;
     (void)ctx;
@@ -106,7 +105,7 @@ class Deployment : public simnet::Middlebox {
 
   /// Hook consulted before everything else; lets products claim a request
   /// outright (e.g. Netsweeper's denypagetests category probes).
-  [[nodiscard]] virtual std::optional<simnet::InterceptAction> preIntercept(
+  [[nodiscard]] virtual std::optional<simnet::Preempt> preIntercept(
       http::Request& request, const simnet::InterceptContext& ctx) {
     (void)request;
     (void)ctx;

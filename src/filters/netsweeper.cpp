@@ -59,7 +59,7 @@ http::Response NetsweeperDeployment::makeDenyPage(
   return resp;
 }
 
-std::optional<simnet::InterceptAction> NetsweeperDeployment::preIntercept(
+std::optional<simnet::Preempt> NetsweeperDeployment::preIntercept(
     http::Request& request, const simnet::InterceptContext& /*ctx*/) {
   // Operator configuration-test tool (§4.4): requesting
   // denypagetests.netsweeper.com/category/catno/<N> yields the deny page
@@ -77,7 +77,7 @@ std::optional<simnet::InterceptAction> NetsweeperDeployment::preIntercept(
   return buildBlockAction(request, {*category}, {});
 }
 
-simnet::InterceptAction NetsweeperDeployment::buildBlockAction(
+simnet::Preempt NetsweeperDeployment::buildBlockAction(
     const http::Request& request, const std::set<CategoryId>& blockedCategories,
     const simnet::InterceptContext& /*ctx*/) {
   // Redirect to the deny page on the box's WebAdmin service (Table 2:
@@ -90,7 +90,7 @@ simnet::InterceptAction NetsweeperDeployment::buildBlockAction(
 
   auto resp = http::Response::make(http::Status::kFound);
   resp.headers.add("Location", location);
-  return simnet::InterceptAction::respond(std::move(resp));
+  return simnet::Preempt::respond(std::move(resp));
 }
 
 void NetsweeperDeployment::installExternalSurfaces(simnet::World& world,

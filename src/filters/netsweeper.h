@@ -33,10 +33,10 @@ class NetsweeperDeployment : public Deployment {
       std::string_view path);
 
  protected:
-  std::optional<simnet::InterceptAction> preIntercept(
+  std::optional<simnet::Preempt> preIntercept(
       http::Request& request, const simnet::InterceptContext& ctx) override;
 
-  simnet::InterceptAction buildBlockAction(
+  simnet::Preempt buildBlockAction(
       const http::Request& request, const std::set<CategoryId>& blockedCategories,
       const simnet::InterceptContext& ctx) override;
 };

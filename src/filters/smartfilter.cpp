@@ -49,10 +49,10 @@ http::Response SmartFilterDeployment::makeBlockPage(
   return resp;
 }
 
-simnet::InterceptAction SmartFilterDeployment::buildBlockAction(
+simnet::Preempt SmartFilterDeployment::buildBlockAction(
     const http::Request& request, const std::set<CategoryId>& blockedCategories,
     const simnet::InterceptContext& /*ctx*/) {
-  return simnet::InterceptAction::respond(
+  return simnet::Preempt::respond(
       makeBlockPage(request.url, blockedCategories));
 }
 

@@ -27,7 +27,7 @@ class SmartFilterDeployment : public Deployment {
       const net::Url& url, const std::set<CategoryId>& categories) const;
 
  protected:
-  simnet::InterceptAction buildBlockAction(
+  simnet::Preempt buildBlockAction(
       const http::Request& request, const std::set<CategoryId>& blockedCategories,
       const simnet::InterceptContext& ctx) override;
 

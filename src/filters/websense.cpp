@@ -52,7 +52,7 @@ http::Response WebsenseDeployment::makeBlockPage(
   return resp;
 }
 
-simnet::InterceptAction WebsenseDeployment::buildBlockAction(
+simnet::Preempt WebsenseDeployment::buildBlockAction(
     const http::Request& request,
     const std::set<CategoryId>& /*blockedCategories*/,
     const simnet::InterceptContext& /*ctx*/) {
@@ -63,7 +63,7 @@ simnet::InterceptAction WebsenseDeployment::buildBlockAction(
                                    ":15871/cgi-bin/blockpage.cgi?ws-session=" +
                                    std::to_string(++sessionCounter_) +
                                    "&url=" + request.url.host());
-  return simnet::InterceptAction::respond(std::move(resp));
+  return simnet::Preempt::respond(std::move(resp));
 }
 
 void WebsenseDeployment::installExternalSurfaces(simnet::World& world,

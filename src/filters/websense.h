@@ -45,8 +45,10 @@ class WebsenseDeployment : public Deployment {
 
   /// The license model draws RNG jitter per exchange — verdicts must be
   /// re-drawn, never memoized.
-  [[nodiscard]] bool deterministicIntercept() const override {
-    return Deployment::deterministicIntercept() && !licenseModel_;
+  [[nodiscard]] simnet::Cacheability cacheability(
+      const simnet::VantagePoint& vantage) const override {
+    return licenseModel_ ? simnet::Cacheability::kNone
+                         : Deployment::cacheability(vantage);
   }
 
   /// The block page served from :15871/cgi-bin/blockpage.cgi.
@@ -54,7 +56,7 @@ class WebsenseDeployment : public Deployment {
       const std::optional<std::string>& blockedUrl) const;
 
  protected:
-  simnet::InterceptAction buildBlockAction(
+  simnet::Preempt buildBlockAction(
       const http::Request& request, const std::set<CategoryId>& blockedCategories,
       const simnet::InterceptContext& ctx) override;
 

@@ -153,19 +153,24 @@ std::optional<Request> parseRequest(std::string_view wire) {
 }
 
 Frame messageFrame(std::string_view buffer) {
+  constexpr Frame kBad{Frame::State::kBad, 0};
   // One whole line must be buffered before we can even reject the stream.
   const std::size_t eol = buffer.find("\r\n");
+  // Bound the damage a never-terminating first line can do.
   if (eol == std::string_view::npos)
-    // Bound the damage a never-terminating first line can do.
-    return {buffer.size() > 64 * 1024 ? Frame::State::kBad
-                                      : Frame::State::kIncomplete,
-            0};
+    return buffer.size() > kMaxHeaderBytes ? kBad : Frame{};
+  if (eol > kMaxHeaderBytes) return kBad;
+  // The header block is bounded the same way.
   const std::size_t headerEnd = buffer.find("\r\n\r\n", eol);
-  if (headerEnd == std::string_view::npos)
-    return {Frame::State::kIncomplete, 0};
+  const std::size_t headerBytes =
+      (headerEnd == std::string_view::npos ? buffer.size() : headerEnd) - eol;
+  if (headerBytes > kMaxHeaderBytes) return kBad;
+  if (headerEnd == std::string_view::npos) return Frame{};
 
   // Scan the header block for Content-Length (case-insensitive name match,
-  // same tolerance as HeaderMap).
+  // same tolerance as HeaderMap). Digits are accumulated against the
+  // message bound, so a length that would wrap is refused, not truncated.
+  const std::size_t maxBody = kMaxMessageBytes - (headerEnd + 4);
   std::size_t bodyLen = 0;
   std::string_view block = buffer.substr(eol + 2, headerEnd - eol);
   while (!block.empty()) {
@@ -175,14 +180,15 @@ Frame messageFrame(std::string_view buffer) {
     const std::size_t colon = line.find(':');
     if (colon != std::string_view::npos) {
       const std::string_view name = util::trim(line.substr(0, colon));
-      if (util::toLower(std::string(name)) == "content-length") {
+      if (util::iequals(name, "content-length")) {
         const std::string_view value = util::trim(line.substr(colon + 1));
-        if (value.empty()) return {Frame::State::kBad, 0};
+        if (value.empty()) return kBad;
         bodyLen = 0;
         for (const char c : value) {
-          if (!std::isdigit(static_cast<unsigned char>(c)))
-            return {Frame::State::kBad, 0};
-          bodyLen = bodyLen * 10 + static_cast<std::size_t>(c - '0');
+          if (!std::isdigit(static_cast<unsigned char>(c))) return kBad;
+          const auto digit = static_cast<std::size_t>(c - '0');
+          if (bodyLen > (maxBody - digit) / 10) return kBad;
+          bodyLen = bodyLen * 10 + digit;
         }
       }
     }
@@ -191,7 +197,7 @@ Frame messageFrame(std::string_view buffer) {
   }
 
   const std::size_t total = headerEnd + 4 + bodyLen;
-  if (buffer.size() < total) return {Frame::State::kIncomplete, 0};
+  if (buffer.size() < total) return Frame{};
   return {Frame::State::kComplete, total};
 }
 

@@ -49,9 +49,17 @@ struct Frame {
   std::size_t size = 0;  ///< set when state == kComplete
 };
 
+/// Longest first line, and longest header block, a stream may carry.
+inline constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
+/// Largest whole message (header block plus body) a stream may carry —
+/// far above the biggest session body or campaign response the repo sends.
+inline constexpr std::size_t kMaxMessageBytes = 64 * 1024 * 1024;
+
 /// Frame the first message in `buffer`. Never consumes bytes: callers slice
 /// off `size` bytes on kComplete and hand them to parseRequest /
-/// parseResponse.
+/// parseResponse. A first line or header block past kMaxHeaderBytes, or a
+/// Content-Length that overflows or puts the message past kMaxMessageBytes,
+/// frames as kBad.
 [[nodiscard]] Frame messageFrame(std::string_view buffer);
 
 }  // namespace urlf::http

@@ -1,5 +1,7 @@
 #include "measure/client.h"
 
+#include <algorithm>
+
 #include "measure/shared_memo.h"
 #include "util/thread_pool.h"
 
@@ -68,37 +70,9 @@ Verdict Client::compare(const simnet::FetchResult& field,
   return Verdict::kInconclusive;
 }
 
-bool Client::chainsDeterministic() const {
-  for (const auto* vantage : {field_, lab_}) {
-    if (vantage->isp == nullptr) continue;  // lab: no chain
-    for (const auto* box : vantage->isp->chain())
-      if (!box->deterministicIntercept()) return false;
-    for (const auto* filter : vantage->isp->packetChain())
-      if (!filter->deterministicDecision()) return false;
-  }
-  return true;
-}
-
-bool Client::chainsSideEffectFree() const {
-  for (const auto* vantage : {field_, lab_}) {
-    if (vantage->isp == nullptr) continue;  // lab: no chain
-    for (const auto* box : vantage->isp->chain())
-      if (box->interceptHasSideEffects()) return false;
-    // A stateful injector arms hold-down state on a kill; skipping its
-    // fetch would skip the arm (flow-table epoch moves gate the memo, but
-    // a replay path must not miss the mutation itself).
-    for (const auto* filter : vantage->isp->packetChain())
-      if (filter->decisionHasSideEffects()) return false;
-  }
-  return true;
-}
-
-bool Client::interferenceFree() const {
-  const simnet::InterferencePlan* plan = world_->interferencePlan();
-  if (plan == nullptr) return true;
-  for (const auto* vantage : {field_, lab_})
-    if (plan->activeFor(*vantage)) return false;
-  return true;
+simnet::Cacheability Client::cacheability() const {
+  return std::min(transport_.cacheability(*field_),
+                  transport_.cacheability(*lab_));
 }
 
 Client::MemoEpoch Client::currentEpoch() const {
@@ -109,11 +83,9 @@ void Client::attachSharedMemo(SharedVerdictStore* store, std::uint64_t scope) {
   shared_ = store;
   sharedScope_ = scope;
   // A shared hit skips this world's fetch entirely, so beyond determinism
-  // (the per-client memo's bar) every box must also be side-effect free,
-  // and no interference may be armed for either vantage — a deceived
-  // observation must never be served to another session.
-  sharedSafe_ = store != nullptr && chainsDeterministic() &&
-                chainsSideEffectFree() && interferenceFree();
+  // (the per-client memo's bar) every stage must also be side-effect free.
+  sharedSafe_ =
+      store != nullptr && cacheability() == simnet::Cacheability::kShared;
 }
 
 std::optional<UrlTestResult> Client::sharedLookup(const std::string& url,
@@ -145,10 +117,9 @@ void Client::sharedInsert(const UrlTestResult& result, const MemoEpoch& epoch) {
 
 void Client::enableVerdictMemo(bool enabled) {
   memoEnabled_ = enabled;
-  // Re-check the chains each time: a box attached (or reconfigured) after
-  // construction must be able to veto memoization. An armed interference
-  // plan vetoes too: verdicts become cadence- and attempt-dependent.
-  memoSafe_ = enabled && chainsDeterministic() && interferenceFree();
+  // Re-check the paths each time: a stage attached (or reconfigured) after
+  // construction must be able to veto memoization.
+  memoSafe_ = enabled && cacheability() >= simnet::Cacheability::kLocal;
   if (!verdictMemoActive()) clearVerdictMemo();
 }
 
@@ -226,8 +197,8 @@ UrlTestResult Client::testUrl(const std::string& url) {
   // A fetch that advanced the clock (retry backoff) or mutated a database
   // (queue-triggered categorization) would not replay identically. A fetch
   // the interference layer touched is never cached (belt and braces on top
-  // of interferenceFree(): memoSafe_ is re-checked at enable time, but a
-  // plan installed later must still not leak deceived rows).
+  // of cacheability(): memoSafe_ is re-checked at enable time, but a plan
+  // installed later must still not leak deceived rows).
   if (result.field.interference == simnet::InterferenceEffect::kNone &&
       result.lab.interference == simnet::InterferenceEffect::kNone &&
       currentEpoch() == before) {

@@ -77,12 +77,13 @@ struct UrlTestResult {
 ///
 /// - **Verdict memoization** (enableVerdictMemo): repeat fetches of the same
 ///   URL at an unchanged (middlebox state epoch, clock) are answered from a
-///   per-client memo. The memo only ever activates when every middlebox on
-///   both vantages' paths reports deterministicIntercept() — a box that
-///   rolls dice per exchange (offlineProbability, license models) must
-///   consume its RNG draws on every repeat, so its vantage is never
-///   memoized. Entries are dropped the moment the epoch moves (any category
-///   database mutation or clock advance), and a fetch that itself moves the
+///   per-client memo. The memo only ever activates when both vantages'
+///   paths are at least locally cacheable (Transport::cacheability) — a box
+///   that rolls dice per exchange (offlineProbability, license models) must
+///   consume its RNG draws on every repeat, and armed interference may be
+///   deceiving the vantage, so neither is ever memoized. Entries are
+///   dropped the moment the epoch moves (any category database mutation or
+///   clock advance), and a fetch that itself moves the
 ///   epoch (retry backoff, queue-triggered recategorization) is not
 ///   memoized. Policy-knob edits that bypass the epoch (e.g. assigning a new
 ///   FilterPolicy wholesale) require clearVerdictMemo() or a fresh Client.
@@ -103,7 +104,7 @@ class Client {
       std::span<const std::string> urls, std::size_t threadLimit = 0);
 
   /// Opt into verdict memoization. Takes effect only when both vantages'
-  /// middlebox chains are deterministic (checked here and remembered).
+  /// paths are at least locally cacheable (checked here and remembered).
   void enableVerdictMemo(bool enabled);
   [[nodiscard]] bool verdictMemoActive() const {
     return memoEnabled_ && memoSafe_;
@@ -113,8 +114,8 @@ class Client {
 
   /// Attach a cross-session verdict store under `scope` (nullptr detaches).
   /// On top of the per-client memo's gating, the store is consulted only
-  /// when every middlebox on both vantages' chains is deterministic AND
-  /// side-effect free (Middlebox::interceptHasSideEffects): a shared hit
+  /// when both vantages' paths are shared-cacheable — deterministic AND side-
+  /// effect free (no vendor queue writes, no hold-down arms): a shared hit
   /// skips this world's fetch entirely, which is sound only if the skipped
   /// fetch would have mutated nothing. Shared lookups/inserts additionally
   /// require the per-client memo to be active (enableVerdictMemo), and key
@@ -149,16 +150,17 @@ class Client {
     return fetchOptions_;
   }
 
+  /// How far this client's verdicts may be reused: the least cacheable
+  /// stage on either vantage's path decides.
+  [[nodiscard]] simnet::Cacheability cacheability() const;
+
   /// True when a verdict recorded by this client can be replayed later
   /// without re-fetching, as long as no category DB, policy, or clock-lag
-  /// boundary moved in between: every middlebox on both vantages' paths is
-  /// deterministic (no per-exchange dice) AND side-effect free (no vendor
-  /// queue writes). This is the same gate the shared verdict store applies;
-  /// the longitudinal monitor consults it before reusing cached verdicts
-  /// across ticks.
+  /// boundary moved in between: both paths are shared-cacheable. This is
+  /// the same gate the shared verdict store applies; the longitudinal
+  /// monitor consults it before reusing cached verdicts across ticks.
   [[nodiscard]] bool cacheableChains() const {
-    return chainsDeterministic() && chainsSideEffectFree() &&
-           interferenceFree();
+    return cacheability() == simnet::Cacheability::kShared;
   }
 
   /// The pure comparison rule (§4.1): derive the verdict from the two
@@ -178,14 +180,6 @@ class Client {
     bool operator==(const MemoEpoch&) const = default;
   };
   [[nodiscard]] MemoEpoch currentEpoch() const;
-  [[nodiscard]] bool chainsDeterministic() const;
-  [[nodiscard]] bool chainsSideEffectFree() const;
-  /// True when no InterferencePlan feature is armed for either vantage.
-  /// Interference draws are attempt-keyed and the probe/lockout windows are
-  /// cadence-dependent, so a verdict observed under an active plan must
-  /// never be memoized or shared — a deceived observation served to another
-  /// session would launder the deception.
-  [[nodiscard]] bool interferenceFree() const;
   /// Shared-store lookup for `url` at `epoch`; populates the local memo on
   /// a hit. Only call when sharedMemoActive().
   [[nodiscard]] std::optional<UrlTestResult> sharedLookup(

@@ -31,9 +31,10 @@ namespace urlf::measure {
 ///    category-DB mutation counts) and the simulated clock. A world whose
 ///    databases or clock have moved looks up under a different key, so a
 ///    stale verdict is structurally unreachable, not just invalidated.
-///  * **Side effects**: measure::Client only attaches the store on vantage
-///    chains whose intercepts are deterministic AND side-effect free (no
-///    queue-on-access boxes — see Middlebox::interceptHasSideEffects).
+///  * **Side effects**: measure::Client only consults the store when both
+///    vantages' paths are Cacheability::kShared — deterministic AND
+///    side-effect free (no queue-on-access boxes, no stateful injectors, no
+///    armed interference; see simnet::PathStage::cacheability).
 ///    Skipping a fetch must not skip world mutations the solo run would
 ///    have performed.
 ///

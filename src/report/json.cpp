@@ -137,6 +137,12 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
+/// Deepest array/object nesting parse() accepts. Every document the repo
+/// writes (journals, checkpoints, session bodies) nests fewer than ten
+/// levels; the bound keeps a hostile body from exhausting the stack of the
+/// thread that parses it.
+constexpr int kMaxNestingDepth = 128;
+
 /// Recursive-descent JSON parser.
 class Parser {
  public:
@@ -144,7 +150,7 @@ class Parser {
 
   std::optional<Json> run() {
     skipWhitespace();
-    auto value = parseValue();
+    auto value = parseValue(0);
     if (!value) return std::nullopt;
     skipWhitespace();
     if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
@@ -173,11 +179,15 @@ class Parser {
     return true;
   }
 
-  std::optional<Json> parseValue() {
+  /// `depth` counts the arrays and objects enclosing this value.
+  std::optional<Json> parseValue(int depth) {
     if (pos_ >= text_.size()) return std::nullopt;
     switch (text_[pos_]) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+      case '{':
+      case '[':
+        if (depth >= kMaxNestingDepth) return std::nullopt;
+        return text_[pos_] == '{' ? parseObject(depth + 1)
+                                  : parseArray(depth + 1);
       case '"': {
         auto s = parseString();
         if (!s) return std::nullopt;
@@ -196,7 +206,7 @@ class Parser {
     }
   }
 
-  std::optional<Json> parseObject() {
+  std::optional<Json> parseObject(int depth) {
     if (!consume('{')) return std::nullopt;
     Json out = Json::object();
     skipWhitespace();
@@ -208,7 +218,7 @@ class Parser {
       skipWhitespace();
       if (!consume(':')) return std::nullopt;
       skipWhitespace();
-      auto value = parseValue();
+      auto value = parseValue(depth);
       if (!value) return std::nullopt;
       out[*key] = std::move(*value);
       skipWhitespace();
@@ -218,14 +228,14 @@ class Parser {
     }
   }
 
-  std::optional<Json> parseArray() {
+  std::optional<Json> parseArray(int depth) {
     if (!consume('[')) return std::nullopt;
     Json out = Json::array();
     skipWhitespace();
     if (consume(']')) return out;
     while (true) {
       skipWhitespace();
-      auto value = parseValue();
+      auto value = parseValue(depth);
       if (!value) return std::nullopt;
       out.push(std::move(*value));
       skipWhitespace();

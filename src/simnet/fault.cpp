@@ -58,4 +58,35 @@ FaultKind FaultPlan::roll(const VantagePoint& vantage, std::string_view url,
   return FaultKind::kNone;
 }
 
+std::optional<Preempt> FaultPlan::onDns(PathContext& ctx) {
+  // The signatures deliberately overlap packet-level censorship's: on a
+  // single trial the two are indistinguishable, which is what the mechanism
+  // classifier's evidence budget exists to resolve.
+  const FaultKind fault = roll(ctx.vantage, ctx.url(), ctx.attempt);
+  const auto fail = [&](FetchOutcome outcome, FailureSignature signature,
+                        std::string error) {
+    ctx.injectedFault = fault;
+    return Preempt{outcome, signature, FailureCause::kFault, std::move(error),
+                   {}};
+  };
+  switch (fault) {
+    case FaultKind::kDnsFlap:
+      return fail(FetchOutcome::kDnsFailure, FailureSignature::kEmptyDns,
+                  "injected transient DNS flap: " + ctx.request.url.host());
+    case FaultKind::kConnectFail:
+      return fail(FetchOutcome::kConnectFailure, FailureSignature::kRefused,
+                  "injected transient connect failure");
+    case FaultKind::kLoss:
+      return fail(FetchOutcome::kTimeout, FailureSignature::kTimeout,
+                  "injected transient loss (flow blackholed)");
+    case FaultKind::kTimeout:
+      return fail(FetchOutcome::kTimeout, FailureSignature::kTimeout,
+                  "injected timeout (response past deadline)");
+    case FaultKind::kNone:
+    case FaultKind::kOutage:  // never rolled by a FaultPlan
+      break;
+  }
+  return std::nullopt;
+}
+
 }  // namespace urlf::simnet

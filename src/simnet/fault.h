@@ -3,25 +3,14 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "simnet/isp.h"
+#include "simnet/path_stage.h"
 
 namespace urlf::simnet {
-
-/// Which transient fault process fired for one fetch attempt (kNone = the
-/// attempt ran cleanly through the real transport path).
-enum class FaultKind {
-  kNone,
-  kDnsFlap,      ///< resolver transiently returned NXDOMAIN
-  kConnectFail,  ///< SYN lost or refused under load
-  kLoss,         ///< flow blackholed mid-transfer — client sees a timeout
-  kTimeout,      ///< response delayed past the client deadline
-  kOutage,       ///< permanent vantage death (OutagePlan) — never transient
-};
-
-[[nodiscard]] std::string_view toString(FaultKind kind);
 
 /// Per-process transient fault probabilities for one scope (a country, an
 /// ISP, or the plan default). Each process is an independent Bernoulli per
@@ -56,10 +45,13 @@ struct FaultRates {
 /// from a private splitmix64 stream keyed on those values, never from the
 /// world's shared RNG, so outcomes are reproducible, independent of fetch
 /// order, and independent of the worker-pool width (DESIGN.md §4.2).
-class FaultPlan {
+///
+/// As a path stage the plan sits at the head of every fetch path, after the
+/// outage plan: a fault it rolls preempts the whole exchange.
+class FaultPlan : public PathStage {
  public:
   explicit FaultPlan(std::uint64_t seed, FaultRates defaults = {})
-      : seed_(seed), defaults_(defaults) {}
+      : PathStage(PathLayer::kWorld), seed_(seed), defaults_(defaults) {}
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
@@ -79,6 +71,10 @@ class FaultPlan {
   /// consumes no stream state.
   [[nodiscard]] FaultKind roll(const VantagePoint& vantage,
                                std::string_view url, int attempt) const;
+
+  /// Roll this attempt's fault; one that fires ends the attempt with the
+  /// signature it shows the client.
+  std::optional<Preempt> onDns(PathContext& ctx) override;
 
  private:
   std::uint64_t seed_;

@@ -1,5 +1,6 @@
 #include "simnet/interference.h"
 
+#include "simnet/world.h"
 #include "util/hash.h"
 
 namespace urlf::simnet {
@@ -70,10 +71,6 @@ bool InterferencePlan::activeFor(const VantagePoint& vantage) const {
   return profileFor(vantage).any();
 }
 
-bool InterferencePlan::statefulFor(const VantagePoint& vantage) const {
-  return profileFor(vantage).stateful();
-}
-
 double InterferencePlan::draw(std::string_view purpose,
                               const VantagePoint& vantage,
                               std::string_view url, int attempt) const {
@@ -102,6 +99,67 @@ MimicTemplate InterferencePlan::drawTemplate(const InterferenceProfile& profile,
   return profile.mimicPool[index < profile.mimicPool.size()
                                ? index
                                : profile.mimicPool.size() - 1];
+}
+
+std::optional<Preempt> InterferencePlan::onDns(PathContext& ctx) {
+  const InterferenceProfile& profile = profileFor(ctx.vantage);
+  if (!profile.any()) return std::nullopt;
+  ctx.interference = &profile;
+  World& world = ctx.world;
+  const InterferenceEffect window = world.interferenceState().recordFetch(
+      ctx.vantage.name, world.now(), profile);
+  if (window == InterferenceEffect::kLockout) {
+    ctx.effect = InterferenceEffect::kLockout;
+    const bool refused =
+        draw("lockout-sig", ctx.vantage, ctx.url(), ctx.attempt) < 0.5;
+    return refused ? Preempt{FetchOutcome::kConnectFailure,
+                             FailureSignature::kRefused,
+                             FailureCause::kInterference,
+                             "connection refused (rate-limit lockout)", {}}
+                   : Preempt{FetchOutcome::kTimeout, FailureSignature::kTimeout,
+                             FailureCause::kInterference,
+                             "connection timed out (rate-limit lockout)", {}};
+  }
+  if (profile.tarpitRate > 0.0 &&
+      draw("tarpit", ctx.vantage, ctx.url(), ctx.attempt) <
+          profile.tarpitRate) {
+    ctx.effect = InterferenceEffect::kTarpit;
+    if (ctx.deadlineHours > 0 && ctx.deadlineHours < profile.tarpitHours) {
+      // Deadline cancellation: the client hangs up after its per-attempt
+      // budget and sees the distinct slow-drip signature.
+      world.clock().advanceHours(ctx.deadlineHours);
+      return Preempt{FetchOutcome::kTimeout, FailureSignature::kSlowDrip,
+                     FailureCause::kInterference,
+                     "slow-drip response cancelled at deadline", {}};
+    }
+    // No (effective) deadline: the drip eventually completes, at full
+    // simulated-clock cost. The exchange then proceeds normally.
+    world.clock().advanceHours(profile.tarpitHours);
+  }
+  const auto unplug = [&ctx](InterferenceEffect effect) {
+    ctx.censorUnplugged = true;
+    if (ctx.effect == InterferenceEffect::kNone) ctx.effect = effect;
+  };
+  if (window == InterferenceEffect::kHidden) {
+    unplug(InterferenceEffect::kHidden);
+  } else if (profile.flakyRate > 0.0 &&
+             draw("flaky", ctx.vantage, ctx.url(), ctx.attempt) <
+                 profile.flakyRate) {
+    unplug(InterferenceEffect::kFlakyOpen);
+  }
+  return std::nullopt;
+}
+
+void InterferencePlan::disguise(PathContext& ctx, Preempt& answer) const {
+  const InterferenceProfile* profile = ctx.interference;
+  if (profile == nullptr || profile->mimicryRate <= 0.0 ||
+      profile->mimicPool.empty() ||
+      draw("mimic", ctx.vantage, ctx.url(), ctx.attempt) >=
+          profile->mimicryRate)
+    return;
+  answer.response = mimicResponse(
+      drawTemplate(*profile, ctx.vantage, ctx.url(), ctx.attempt));
+  ctx.effect = InterferenceEffect::kMimicry;
 }
 
 InterferenceEffect InterferenceState::recordFetch(
@@ -143,18 +201,6 @@ InterferenceEffect InterferenceState::recordFetch(
   if (now < w.bannedUntil) return InterferenceEffect::kLockout;
   if (now < w.hiddenUntil) return InterferenceEffect::kHidden;
   return InterferenceEffect::kNone;
-}
-
-bool InterferenceState::hidden(const std::string& vantageName,
-                               util::SimTime now) const {
-  const auto it = windows_.find(vantageName);
-  return it != windows_.end() && now < it->second.hiddenUntil;
-}
-
-bool InterferenceState::banned(const std::string& vantageName,
-                               util::SimTime now) const {
-  const auto it = windows_.find(vantageName);
-  return it != windows_.end() && now < it->second.bannedUntil;
 }
 
 }  // namespace urlf::simnet

@@ -10,24 +10,10 @@
 
 #include "http/message.h"
 #include "simnet/isp.h"
+#include "simnet/path_stage.h"
 #include "util/clock.h"
 
 namespace urlf::simnet {
-
-/// Ground-truth record of which adversarial behaviour (if any) shaped a
-/// fetch. Like FailureCause, this is simulation-side truth: measurement
-/// clients must never branch on it — it exists so benches and journals can
-/// score how often a robustness layer was deceived.
-enum class InterferenceEffect {
-  kNone,       ///< no interference touched this fetch
-  kHidden,     ///< probe detected — censor served the clean page
-  kLockout,    ///< rate-limit temp-ban — fetch refused or black-holed
-  kTarpit,     ///< slow-drip response consumed simulated clock
-  kFlakyOpen,  ///< per-flow flaky enforcement let this flow through
-  kMimicry,    ///< blockpage swapped for another vendor's template
-};
-
-[[nodiscard]] std::string_view toString(InterferenceEffect effect);
 
 /// Which vendor's blockpage template a mimicking censor serves. simnet
 /// cannot depend on filters/, so the template set is named locally; the
@@ -99,9 +85,17 @@ struct InterferenceProfile {
 /// of FaultPlan. Every probabilistic decision is a pure hash draw keyed by
 /// (seed, purpose, vantage, url, attempt): no shared RNG is consumed, so
 /// fetch order and thread count cannot change any outcome.
-class InterferencePlan {
+///
+/// As a path stage the plan sits at the head of every fetch path, after the
+/// outage and fault plans. It feeds the probe/lockout windows first — the
+/// fetch that trips a threshold is itself affected — then a lockout
+/// preempts the exchange, a tarpit consumes simulated clock, and a hide or
+/// flaky window unplugs the HTTP censor for this flow. Mimicry acts later,
+/// on a middlebox's answer (disguise()).
+class InterferencePlan : public PathStage {
  public:
-  explicit InterferencePlan(std::uint64_t seed) : seed_(seed) {}
+  explicit InterferencePlan(std::uint64_t seed)
+      : PathStage(PathLayer::kWorld), seed_(seed) {}
 
   void setDefaultProfile(InterferenceProfile profile) {
     defaultProfile_ = profile;
@@ -120,10 +114,6 @@ class InterferencePlan {
   /// True if any interference feature is armed for this vantage.
   [[nodiscard]] bool activeFor(const VantagePoint& vantage) const;
 
-  /// True if a history-dependent feature (probe/lockout window) is armed
-  /// for this vantage.
-  [[nodiscard]] bool statefulFor(const VantagePoint& vantage) const;
-
   /// Pure uniform [0,1) draw for one decision. `purpose` namespaces the
   /// draw ("tarpit", "flaky", "mimic", "lockout-sig") so decisions on the
   /// same fetch are independent.
@@ -136,6 +126,22 @@ class InterferencePlan {
                                            const VantagePoint& vantage,
                                            std::string_view url,
                                            int attempt) const;
+
+  std::optional<Preempt> onDns(PathContext& ctx) override;
+
+  /// Blockpage mimicry: with the profile's rate, swap a censor's own answer
+  /// for another vendor's template to bait misattribution. Pure per-fetch
+  /// draw; a no-op unless onDns armed `ctx.interference`.
+  void disguise(PathContext& ctx, Preempt& answer) const;
+
+  /// Armed interference draws are attempt-keyed and its windows are
+  /// cadence-dependent, so no verdict observed under it may be memoized or
+  /// shared — a deceived observation served again would launder the
+  /// deception.
+  [[nodiscard]] Cacheability cacheability(
+      const VantagePoint& vantage) const override {
+    return activeFor(vantage) ? Cacheability::kNone : Cacheability::kShared;
+  }
 
  private:
   std::uint64_t seed_;
@@ -158,11 +164,6 @@ class InterferenceState {
   InterferenceEffect recordFetch(const std::string& vantageName,
                                  util::SimTime now,
                                  const InterferenceProfile& profile);
-
-  [[nodiscard]] bool hidden(const std::string& vantageName,
-                            util::SimTime now) const;
-  [[nodiscard]] bool banned(const std::string& vantageName,
-                            util::SimTime now) const;
 
   /// Bumped whenever a hide or ban window is armed or extended.
   [[nodiscard]] std::uint64_t stateEpoch() const { return epoch_; }

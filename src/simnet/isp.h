@@ -2,20 +2,18 @@
 #define URLF_SIMNET_ISP_H
 
 #include <cstdint>
-#include <map>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "net/ipv4.h"
 #include "simnet/middlebox.h"
 #include "simnet/packet_filter.h"
 
 namespace urlf::simnet {
 
 /// An Internet service provider: a named network in one country, built on
-/// one or more ASes, with an ordered chain of in-path middleboxes that every
-/// subscriber request traverses.
+/// one or more ASes, with the packet filters and the ordered chain of in-path
+/// middleboxes that every subscriber request traverses.
 class Isp {
  public:
   Isp(std::string name, std::string countryAlpha2)
@@ -31,54 +29,35 @@ class Isp {
   void addAsn(std::uint32_t asn) { asns_.push_back(asn); }
 
   /// Append a middlebox to the egress chain (non-owning; the World owns it).
-  void attachMiddlebox(Middlebox& box) { chain_.push_back(&box); }
-
-  [[nodiscard]] const std::vector<Middlebox*>& chain() const { return chain_; }
+  void attachMiddlebox(Middlebox& box) { path_.push_back(&box); }
 
   /// Append a packet-level filter to the wire chain (non-owning; the World
   /// owns it). Packet filters sit *under* the HTTP middleboxes: they see the
   /// subscriber's DNS queries, SYNs/ClientHellos, and cleartext request
   /// bytes before any proxy can answer.
   void attachPacketFilter(PacketFilter& filter) {
-    packetChain_.push_back(&filter);
+    path_.insert(path_.begin() + static_cast<std::ptrdiff_t>(packetFilters_),
+                 &filter);
+    ++packetFilters_;
   }
 
-  [[nodiscard]] const std::vector<PacketFilter*>& packetChain() const {
-    return packetChain_;
-  }
+  [[nodiscard]] bool hasPacketFilters() const { return packetFilters_ > 0; }
+
+  /// Every stage this ISP puts on a subscriber's path, in path order: the
+  /// packet filters, then the middlebox chain, each in attach order.
+  [[nodiscard]] std::span<PathStage* const> stages() const { return path_; }
 
   /// Primary ASN (the first one) — what Table 3 reports per ISP.
   [[nodiscard]] std::uint32_t primaryAsn() const {
     return asns_.empty() ? 0 : asns_.front();
   }
 
-  // --- DNS-based censorship -------------------------------------------------
-  // Some censors tamper with their resolvers instead of (or besides)
-  // deploying URL filters: a censored hostname resolves to a sinkhole or a
-  // block server. Subscribers using the ISP resolver get the override; the
-  // lab does not — one of the non-block-page mechanisms §4.1 sets aside.
-
-  /// Make `hostname` resolve to `target` for this ISP's subscribers.
-  void addDnsOverride(const std::string& hostname, net::Ipv4Addr target) {
-    dnsOverrides_[hostname] = target;
-  }
-  void removeDnsOverride(const std::string& hostname) {
-    dnsOverrides_.erase(hostname);
-  }
-  [[nodiscard]] std::optional<net::Ipv4Addr> dnsOverride(
-      const std::string& hostname) const {
-    const auto it = dnsOverrides_.find(hostname);
-    if (it == dnsOverrides_.end()) return std::nullopt;
-    return it->second;
-  }
-
  private:
   std::string name_;
   std::string country_;
   std::vector<std::uint32_t> asns_;
-  std::vector<Middlebox*> chain_;
-  std::vector<PacketFilter*> packetChain_;
-  std::map<std::string, net::Ipv4Addr> dnsOverrides_;
+  std::vector<PathStage*> path_;
+  std::size_t packetFilters_ = 0;  ///< leading entries of path_
 };
 
 /// A measurement vantage point: either inside an ISP ("field") or in the

@@ -1,90 +1,36 @@
 #ifndef URLF_SIMNET_MIDDLEBOX_H
 #define URLF_SIMNET_MIDDLEBOX_H
 
-#include <optional>
+#include <cstdint>
 #include <string>
 
-#include "http/message.h"
-#include "util/clock.h"
-#include "util/rng.h"
+#include "simnet/path_stage.h"
 
 namespace urlf::simnet {
-
-class Isp;
-
-/// Context handed to a middlebox for each intercepted exchange.
-struct InterceptContext {
-  util::SimTime now;
-  const Isp* isp = nullptr;      ///< the ISP whose chain is executing
-  std::string clientCountry;     ///< alpha-2 of the requesting vantage point
-  util::Rng* rng = nullptr;      ///< simulation randomness (never null in use)
-};
-
-/// What a middlebox does to an intercepted request when it does not simply
-/// let it pass.
-struct InterceptAction {
-  enum class Kind {
-    kRespond,  ///< short-circuit with `response` (block page, redirect, ...)
-    kReset,    ///< inject a TCP RST — client sees connection reset
-    kDrop,     ///< blackhole the flow — client sees a timeout
-  };
-
-  Kind kind = Kind::kRespond;
-  http::Response response;  ///< meaningful only for kRespond
-
-  static InterceptAction respond(http::Response r) {
-    return {Kind::kRespond, std::move(r)};
-  }
-  static InterceptAction reset() { return {Kind::kReset, {}}; }
-  static InterceptAction drop() { return {Kind::kDrop, {}}; }
-};
 
 /// An in-path device in an ISP: sees every outbound subscriber request and
 /// may short-circuit it (block page, redirect, RST, blackhole) and/or
 /// annotate traffic (proxy Via headers). URL filtering products implement
 /// this interface.
-class Middlebox {
+///
+/// As a path stage a middlebox acts on two hooks: onRequest inspects (and
+/// may annotate) `ctx.request` under the policy view `ctx.policy`, and a
+/// returned Preempt short-circuits the exchange — the origin is never
+/// contacted; onResponse post-processes the origin's response on the way
+/// back (e.g. a transparent proxy stamping Via headers).
+class Middlebox : public PathStage {
  public:
-  virtual ~Middlebox() = default;
-
-  Middlebox() = default;
+  Middlebox() : PathStage(PathLayer::kHttp) {}
   Middlebox(const Middlebox&) = delete;
   Middlebox& operator=(const Middlebox&) = delete;
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Inspect (and possibly annotate) an outbound request. Returning an
-  /// action short-circuits the exchange — the origin is never contacted.
-  virtual std::optional<InterceptAction> intercept(http::Request& request,
-                                                   const InterceptContext& ctx) = 0;
-
-  /// Post-process the origin's response on the way back (e.g. a transparent
-  /// proxy stamping Via headers). Default: no-op.
-  virtual void postProcess(const http::Request& request, http::Response& response,
-                           const InterceptContext& ctx) {
-    (void)request;
-    (void)response;
-    (void)ctx;
-  }
-
   /// A monotone counter covering every mutable input that can change what
-  /// intercept() returns for a given (request, now) — e.g. category-database
+  /// onRequest() returns for a given (request, now) — e.g. category-database
   /// mutation counts. Verdict memoization is valid only while the epoch (and
   /// the clock) is unchanged. Stateless boxes keep the default 0.
   [[nodiscard]] virtual std::uint64_t stateEpoch() const { return 0; }
-
-  /// True when intercept() is a pure function of (request, now, epoch) —
-  /// i.e. it never draws randomness. Boxes that roll dice per request
-  /// (license overload, §4.4) must return false so callers neither memoize
-  /// their verdicts nor skip replays that would consume RNG draws.
-  [[nodiscard]] virtual bool deterministicIntercept() const { return true; }
-
-  /// True when intercept() mutates state beyond its own statistics — e.g.
-  /// queueing uncategorized URLs for vendor categorization (§4.4). A
-  /// cross-session verdict store (measure::SharedVerdictStore) must never
-  /// skip a fetch through such a box: the skipped world would miss the
-  /// mutation the solo run performed. Pure classifiers keep the default.
-  [[nodiscard]] virtual bool interceptHasSideEffects() const { return false; }
 };
 
 }  // namespace urlf::simnet

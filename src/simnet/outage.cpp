@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "simnet/world.h"
 #include "util/hash.h"
 
 namespace urlf::simnet {
@@ -17,6 +18,17 @@ std::optional<util::SimTime> OutagePlan::deathTime(
   const auto it = vantageDeaths_.find(vantageName);
   if (it == vantageDeaths_.end()) return std::nullopt;
   return it->second;
+}
+
+std::optional<Preempt> OutagePlan::onDns(PathContext& ctx) {
+  if (!vantageDead(ctx.vantage, ctx.world.now())) return std::nullopt;
+  ctx.injectedFault = FaultKind::kOutage;
+  return Preempt{FetchOutcome::kTimeout, FailureSignature::kTimeout,
+                 FailureCause::kOutage,
+                 "vantage offline: " + ctx.vantage.name +
+                     " permanently dead since hour " +
+                     std::to_string(deathTime(ctx.vantage.name)->hours()),
+                 {}};
 }
 
 void OutagePlan::scheduleSeededDeaths(std::span<const std::string> candidates,

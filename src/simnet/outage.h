@@ -32,9 +32,15 @@ namespace urlf::simnet {
 /// Everything is a pure function of (plan state, simulated now), so installing
 /// a plan keeps the world deterministic and thread-count independent, and
 /// verdict memoization (keyed on the clock) stays valid.
-class OutagePlan {
+///
+/// As a path stage the plan is the first stage of every fetch: a dead
+/// vantage has no network activity at all, only client-side timeouts. The
+/// transport consults the other two models directly — stopped middleboxes
+/// sit the path out, and the chain sees policyTime().
+class OutagePlan : public PathStage {
  public:
-  explicit OutagePlan(std::uint64_t seed = 0) : seed_(seed) {}
+  explicit OutagePlan(std::uint64_t seed = 0)
+      : PathStage(PathLayer::kWorld), seed_(seed) {}
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
@@ -49,6 +55,9 @@ class OutagePlan {
                                  util::SimTime now) const;
   [[nodiscard]] std::optional<util::SimTime> deathTime(
       const std::string& vantageName) const;
+
+  /// A dead vantage's fetch times out before anything else happens.
+  std::optional<Preempt> onDns(PathContext& ctx) override;
 
   /// Seeded churn: pick `count` distinct candidates (keyed draws off the
   /// plan seed — stable for a given candidate list) and schedule each death

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "simnet/isp.h"
+#include "simnet/world.h"
 #include "util/strings.h"
 
 namespace urlf::simnet {
@@ -16,8 +18,8 @@ bool hostInZone(std::string_view hostname, std::string_view zone) {
 
 namespace {
 
-FlowKey keyFor(const FlowSyn& syn, const PacketContext& ctx) {
-  return FlowKey{ctx.vantageName, syn.host, syn.port};
+FlowKey keyFor(const PathContext& ctx) {
+  return FlowKey{ctx.vantage.name, ctx.syn.host, ctx.syn.port};
 }
 
 bool anyZoneMatches(const std::vector<std::string>& zones,
@@ -40,13 +42,17 @@ bool DnsPoisoner::matches(std::string_view hostname) const {
   return zones_.empty() || anyZoneMatches(zones_, hostname);
 }
 
-std::optional<DnsTamper> DnsPoisoner::onDnsQuery(std::string_view hostname,
-                                                 const PacketContext& ctx) {
-  (void)ctx;
-  if (!matches(hostname)) return std::nullopt;
+std::optional<Preempt> DnsPoisoner::onDns(PathContext& ctx) {
+  const std::string& host = ctx.request.url.host();
+  if (!matches(host)) return std::nullopt;
   ++queriesPoisoned_;
-  return mode_ == DnsTamper::Kind::kNxdomain ? DnsTamper::nxdomain()
-                                             : DnsTamper::forged(sinkhole_);
+  if (mode_ == DnsTamper::Kind::kForged) {
+    ctx.ip = sinkhole_;
+    return std::nullopt;
+  }
+  return Preempt{FetchOutcome::kDnsFailure, FailureSignature::kEmptyDns,
+                 FailureCause::kPacketFilter,
+                 "NXDOMAIN: " + host + " (forged empty answer)", {}};
 }
 
 // --- RstInjector -----------------------------------------------------------
@@ -58,23 +64,23 @@ RstInjector::RstInjector(std::string name, std::vector<std::string> keywords,
   for (auto& keyword : keywords) keywords_.push_back(util::toLower(keyword));
 }
 
-std::optional<FlowKill> RstInjector::onConnect(const FlowSyn& syn,
-                                               const PacketContext& ctx) {
-  if (holdDownHours_ <= 0 || ctx.flows == nullptr) return std::nullopt;
-  const FlowKey key = keyFor(syn, ctx);
-  if (!ctx.flows->residualActive(key, ctx.now)) return std::nullopt;
+std::optional<Preempt> RstInjector::onConnect(PathContext& ctx) {
+  if (holdDownHours_ <= 0) return std::nullopt;
+  FlowTable& flows = ctx.world.flows();
+  const util::SimTime now = ctx.world.now();
+  const FlowKey key = keyFor(ctx);
+  if (!flows.residualActive(key, now)) return std::nullopt;
   // Residual blocking: the destination is still in hold-down from an
   // earlier kill, so the SYN dies before any application byte.
   ++residualKills_;
-  ctx.flows->recordKill(key, ctx.now);
-  ctx.flows->armResidual(key, ctx.now, ctx.now + holdDownHours_);
-  return FlowKill::reset();
+  flows.recordKill(key, now);
+  flows.armResidual(key, now, now + holdDownHours_);
+  return Preempt::reset(FailureCause::kPacketFilter,
+                        FailureSignature::kRstBeforeBanner);
 }
 
-std::optional<FlowKill> RstInjector::onRequest(const FlowSyn& syn,
-                                               const http::Request& request,
-                                               const PacketContext& ctx) {
-  const std::string wire = syn.host + " " + request.url.toString();
+std::optional<Preempt> RstInjector::onRequest(PathContext& ctx) {
+  const std::string wire = ctx.syn.host + " " + ctx.url();
   const std::string lowered = util::toLower(wire);
   const bool hit =
       std::any_of(keywords_.begin(), keywords_.end(),
@@ -83,13 +89,12 @@ std::optional<FlowKill> RstInjector::onRequest(const FlowSyn& syn,
                   });
   if (!hit) return std::nullopt;
   ++resetsInjected_;
-  if (ctx.flows != nullptr) {
-    const FlowKey key = keyFor(syn, ctx);
-    ctx.flows->recordKill(key, ctx.now);
-    if (holdDownHours_ > 0)
-      ctx.flows->armResidual(key, ctx.now, ctx.now + holdDownHours_);
-  }
-  return FlowKill::reset();
+  FlowTable& flows = ctx.world.flows();
+  const util::SimTime now = ctx.world.now();
+  const FlowKey key = keyFor(ctx);
+  flows.recordKill(key, now);
+  if (holdDownHours_ > 0) flows.armResidual(key, now, now + holdDownHours_);
+  return Preempt::reset(FailureCause::kPacketFilter);
 }
 
 // --- SniFilter -------------------------------------------------------------
@@ -100,9 +105,8 @@ SniFilter::SniFilter(std::string name, std::vector<std::string> hostnames)
   for (auto& host : hostnames) hostnames_.push_back(util::toLower(host));
 }
 
-std::optional<FlowKill> SniFilter::onConnect(const FlowSyn& syn,
-                                             const PacketContext& ctx) {
-  (void)ctx;
+std::optional<Preempt> SniFilter::onConnect(PathContext& ctx) {
+  const FlowSyn& syn = ctx.syn;
   if (!syn.tls) return std::nullopt;
   if (!syn.sniPresent) {
     // ESNI-style omission: nothing to match on, so the filter fails open.
@@ -111,8 +115,9 @@ std::optional<FlowKill> SniFilter::onConnect(const FlowSyn& syn,
   }
   if (!anyZoneMatches(hostnames_, syn.host)) return std::nullopt;
   ++handshakesKilled_;
-  if (ctx.flows != nullptr) ctx.flows->recordKill(keyFor(syn, ctx), ctx.now);
-  return FlowKill::reset();
+  ctx.world.flows().recordKill(keyFor(ctx), ctx.world.now());
+  return Preempt::reset(FailureCause::kPacketFilter,
+                        FailureSignature::kRstBeforeBanner);
 }
 
 // --- NullRouteFilter -------------------------------------------------------
@@ -124,12 +129,11 @@ NullRouteFilter::NullRouteFilter(std::string name,
   for (auto& host : hostnames) hostnames_.push_back(util::toLower(host));
 }
 
-std::optional<FlowKill> NullRouteFilter::onConnect(const FlowSyn& syn,
-                                                   const PacketContext& ctx) {
-  if (!anyZoneMatches(hostnames_, syn.host)) return std::nullopt;
+std::optional<Preempt> NullRouteFilter::onConnect(PathContext& ctx) {
+  if (!anyZoneMatches(hostnames_, ctx.syn.host)) return std::nullopt;
   ++flowsBlackholed_;
-  if (ctx.flows != nullptr) ctx.flows->recordKill(keyFor(syn, ctx), ctx.now);
-  return FlowKill::drop();
+  ctx.world.flows().recordKill(keyFor(ctx), ctx.world.now());
+  return Preempt::drop(FailureCause::kPacketFilter);
 }
 
 }  // namespace urlf::simnet

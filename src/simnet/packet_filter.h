@@ -7,64 +7,17 @@
 #include <string_view>
 #include <vector>
 
-#include "http/message.h"
 #include "net/ipv4.h"
-#include "simnet/flow.h"
-#include "util/clock.h"
+#include "simnet/path_stage.h"
 
 namespace urlf::simnet {
 
-class Isp;
-
-/// Context handed to a packet filter for each wire event. Unlike the HTTP
-/// middlebox InterceptContext there is no RNG here: every packet-level
-/// decision in the simulator is a pure function of (event, now, flow-table
-/// state), which is what keeps mechanism-classification experiments
-/// reproducible at any thread count.
-struct PacketContext {
-  util::SimTime now;
-  const Isp* isp = nullptr;      ///< the ISP whose packet chain is executing
-  std::string vantageName;       ///< subscriber identity for flow keying
-  FlowTable* flows = nullptr;    ///< shared conntrack (never null in use)
-};
-
-/// What an on-path device answered a subscriber's DNS query with.
+/// What an on-path DNS poisoner answers a matching query with.
 struct DnsTamper {
   enum class Kind {
     kNxdomain,  ///< forged empty answer — client sees NXDOMAIN
-    kForged,    ///< forged A record — client connects to `answer`
+    kForged,    ///< forged A record — client connects to the sinkhole
   };
-  Kind kind = Kind::kNxdomain;
-  net::Ipv4Addr answer;  ///< meaningful only for kForged
-
-  static DnsTamper nxdomain() { return {Kind::kNxdomain, {}}; }
-  static DnsTamper forged(net::Ipv4Addr a) { return {Kind::kForged, a}; }
-};
-
-/// How a packet filter terminated a flow when it did not let it pass.
-struct FlowKill {
-  enum class Kind {
-    kReset,   ///< injected RST/FIN — client sees connection reset
-    kDrop,    ///< flow blackholed — client sees a timeout
-    kRefuse,  ///< forged RST on the SYN — client sees connection refused
-  };
-  Kind kind = Kind::kReset;
-
-  static FlowKill reset() { return {Kind::kReset}; }
-  static FlowKill drop() { return {Kind::kDrop}; }
-  static FlowKill refuse() { return {Kind::kRefuse}; }
-};
-
-/// What the wire shows about a new client flow at connect time: the SYN plus
-/// (for TLS) the ClientHello. `sniPresent` models ESNI/ECH-style omission —
-/// an SNI filter that "fails open" passes TLS flows whose hello names no
-/// server.
-struct FlowSyn {
-  std::string host;        ///< lowercased destination hostname
-  net::Ipv4Addr dstIp;
-  std::uint16_t port = 80;
-  bool tls = false;        ///< the flow is a TLS session (https URL)
-  bool sniPresent = true;  ///< ClientHello carries the server name
 };
 
 /// An on-path packet-level device in an ISP: sees subscribers' DNS queries,
@@ -73,60 +26,26 @@ struct FlowSyn {
 /// counterpart of Middlebox, modelling the blocking mechanisms the paper's
 /// four products do NOT use: DNS poisoning, TCP RST/FIN injection, SNI
 /// filtering, and null-routing ("Where The Light Gets In", PAPERS.md).
-class PacketFilter {
+///
+/// As a path stage a filter acts on onDns (forge `ctx.ip` or preempt with
+/// NXDOMAIN), onConnect (a kill lands before any application byte:
+/// rst-before-banner / timeout) and onRequest (cleartext flows only — a TLS
+/// payload is opaque on the wire; a kill is rst-after-request). There is no
+/// RNG on this layer: every decision is a pure function of (event, now,
+/// flow-table state), which keeps mechanism-classification experiments
+/// reproducible at any thread count.
+class PacketFilter : public PathStage {
  public:
-  virtual ~PacketFilter() = default;
-
-  PacketFilter() = default;
+  PacketFilter() : PathStage(PathLayer::kPacket) {}
   PacketFilter(const PacketFilter&) = delete;
   PacketFilter& operator=(const PacketFilter&) = delete;
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// DNS stage: the subscriber's query for `hostname` crosses the wire
-  /// before any resolver answers. Returning a tamper preempts resolution.
-  virtual std::optional<DnsTamper> onDnsQuery(std::string_view hostname,
-                                              const PacketContext& ctx) {
-    (void)hostname;
-    (void)ctx;
-    return std::nullopt;
-  }
-
-  /// Connect stage: the SYN (and, for TLS, the ClientHello) crosses the
-  /// wire. A kill here lands before any application byte — the client-visible
-  /// signature is rst-before-banner / timeout / refused.
-  virtual std::optional<FlowKill> onConnect(const FlowSyn& syn,
-                                            const PacketContext& ctx) {
-    (void)syn;
-    (void)ctx;
-    return std::nullopt;
-  }
-
-  /// Request stage: the first cleartext request bytes cross the wire on an
-  /// established flow. TLS flows never reach this hook — the payload is
-  /// opaque to an on-path device. A kill here is rst-after-request.
-  virtual std::optional<FlowKill> onRequest(const FlowSyn& syn,
-                                            const http::Request& request,
-                                            const PacketContext& ctx) {
-    (void)syn;
-    (void)request;
-    (void)ctx;
-    return std::nullopt;
-  }
-
   /// Monotone counter over mutable inputs that can change a decision for a
   /// given (event, now, flow-table state). Rule-table edits bump it; the
   /// shared FlowTable keeps its own epoch. Stateless filters keep 0.
   [[nodiscard]] virtual std::uint64_t stateEpoch() const { return 0; }
-
-  /// True when decisions are pure in (event, now, flow-table state) — every
-  /// built-in model is; a hypothetical lossy injector would not be.
-  [[nodiscard]] virtual bool deterministicDecision() const { return true; }
-
-  /// True when a decision mutates state beyond statistics (arming residual
-  /// hold-downs). Verdict replay paths must never skip a fetch through such
-  /// a filter: the skipped world would miss the state the real fetch armed.
-  [[nodiscard]] virtual bool decisionHasSideEffects() const { return false; }
 };
 
 // --- the four packet-level censorship mechanisms ---------------------------
@@ -144,8 +63,7 @@ class DnsPoisoner : public PacketFilter {
   void poisonZone(std::string zone);
 
   [[nodiscard]] std::string name() const override { return name_; }
-  std::optional<DnsTamper> onDnsQuery(std::string_view hostname,
-                                      const PacketContext& ctx) override;
+  std::optional<Preempt> onDns(PathContext& ctx) override;
   [[nodiscard]] std::uint64_t stateEpoch() const override { return epoch_; }
 
   [[nodiscard]] std::uint64_t queriesPoisoned() const {
@@ -163,27 +81,27 @@ class DnsPoisoner : public PacketFilter {
   std::uint64_t queriesPoisoned_ = 0;
 };
 
-/// TCP RST/FIN injector: watches cleartext request bytes for keywords and
-/// kills matching flows with an injected reset. With a hold-down window
-/// (`holdDownHours` > 0) the injector is *stateful*: after a kill it resets
-/// every subsequent flow to the same destination until the window expires,
-/// before any application byte — the residual-blocking fingerprint.
+/// TCP RST/FIN injector: watches cleartext request bytes (host and URL) for
+/// keywords and kills matching flows with an injected reset. With a
+/// hold-down window (`holdDownHours` > 0) the injector is *stateful*: after a
+/// kill it resets every subsequent flow to the same destination until the
+/// window expires, before any application byte — the residual-blocking
+/// fingerprint.
 class RstInjector : public PacketFilter {
  public:
   RstInjector(std::string name, std::vector<std::string> keywords,
               std::int64_t holdDownHours = 0);
 
   [[nodiscard]] std::string name() const override { return name_; }
-  std::optional<FlowKill> onConnect(const FlowSyn& syn,
-                                    const PacketContext& ctx) override;
-  std::optional<FlowKill> onRequest(const FlowSyn& syn,
-                                    const http::Request& request,
-                                    const PacketContext& ctx) override;
+  std::optional<Preempt> onConnect(PathContext& ctx) override;
+  std::optional<Preempt> onRequest(PathContext& ctx) override;
   [[nodiscard]] std::uint64_t stateEpoch() const override { return epoch_; }
   /// A stateful injector arms hold-down state on a kill; replaying its
   /// verdicts without fetching would miss the arm.
-  [[nodiscard]] bool decisionHasSideEffects() const override {
-    return holdDownHours_ > 0;
+  [[nodiscard]] Cacheability cacheability(
+      const VantagePoint& vantage) const override {
+    (void)vantage;
+    return holdDownHours_ > 0 ? Cacheability::kLocal : Cacheability::kShared;
   }
 
   [[nodiscard]] std::int64_t holdDownHours() const { return holdDownHours_; }
@@ -209,8 +127,7 @@ class SniFilter : public PacketFilter {
   SniFilter(std::string name, std::vector<std::string> hostnames);
 
   [[nodiscard]] std::string name() const override { return name_; }
-  std::optional<FlowKill> onConnect(const FlowSyn& syn,
-                                    const PacketContext& ctx) override;
+  std::optional<Preempt> onConnect(PathContext& ctx) override;
   [[nodiscard]] std::uint64_t stateEpoch() const override { return epoch_; }
 
   [[nodiscard]] std::uint64_t handshakesKilled() const {
@@ -233,8 +150,7 @@ class NullRouteFilter : public PacketFilter {
   NullRouteFilter(std::string name, std::vector<std::string> hostnames);
 
   [[nodiscard]] std::string name() const override { return name_; }
-  std::optional<FlowKill> onConnect(const FlowSyn& syn,
-                                    const PacketContext& ctx) override;
+  std::optional<Preempt> onConnect(PathContext& ctx) override;
   [[nodiscard]] std::uint64_t stateEpoch() const override { return epoch_; }
 
   [[nodiscard]] std::uint64_t flowsBlackholed() const {

@@ -1,6 +1,7 @@
 #include "simnet/transport.h"
 
 #include <algorithm>
+#include <span>
 
 #include "util/strings.h"
 
@@ -63,318 +64,148 @@ std::int64_t RetryPolicy::backoffHours(int attempt) const {
   return hours;
 }
 
+namespace {
+
+/// One of PathStage's preempting hooks.
+using Hook = std::optional<Preempt> (PathStage::*)(PathContext&);
+
+/// The stages one fetch passes, in path order: the world-wide plans, then
+/// the vantage ISP's packet filters and middleboxes.
+struct Path {
+  std::span<PathStage* const> head;
+  std::span<PathStage* const> isp;
+  const OutagePlan* outages = nullptr;
+
+  /// Whether `stage` sits `hook` out on this fetch (`hook` is null for the
+  /// response hook).
+  [[nodiscard]] bool sitsOut(const PathStage& stage, Hook hook,
+                             const PathContext& ctx) const {
+    switch (stage.layer()) {
+      case PathLayer::kWorld:
+        return false;
+      case PathLayer::kPacket:
+        // The first forged answer wins the race against the resolver, and a
+        // TLS payload is opaque to an on-path device.
+        return (hook == &PathStage::onDns && ctx.ip) ||
+               (hook == &PathStage::onRequest && ctx.syn.tls);
+      case PathLayer::kHttp:
+        // A censor the outage plan stopped, or that interference unplugged
+        // for this flow, fails open: it neither intercepts nor
+        // post-processes, exactly as if unplugged.
+        return ctx.censorUnplugged ||
+               (outages != nullptr &&
+                outages->middleboxStopped(static_cast<const Middlebox&>(stage),
+                                          ctx.world.now()));
+    }
+    return false;
+  }
+
+  /// Run `hook` on every stage in path order; the first preempt ends the
+  /// attempt.
+  std::optional<Preempt> run(Hook hook, PathContext& ctx) const {
+    for (const auto stages : {head, isp})
+      for (PathStage* stage : stages)
+        if (!sitsOut(*stage, hook, ctx))
+          if (auto preempt = (stage->*hook)(ctx)) return preempt;
+    return std::nullopt;
+  }
+
+  /// The response's way back: every stage in reverse path order.
+  void respond(PathContext& ctx, http::Response& response) const {
+    for (const auto stages : {isp, head})
+      for (auto it = stages.rbegin(); it != stages.rend(); ++it)
+        if (!sitsOut(**it, nullptr, ctx)) (*it)->onResponse(ctx, response);
+  }
+};
+
+Path pathOf(World& world, const VantagePoint& vantage) {
+  return {world.headStages(),
+          vantage.isp != nullptr ? vantage.isp->stages()
+                                 : std::span<PathStage* const>{},
+          world.outagePlan()};
+}
+
+FetchResult finish(const PathContext& ctx, Preempt end) {
+  FetchResult result;
+  result.outcome = end.outcome;
+  result.response = std::move(end.response);
+  result.error = std::move(end.error);
+  result.injectedFault = ctx.injectedFault;
+  result.signature = end.signature;
+  result.cause = end.cause;
+  result.interference = ctx.effect;
+  return result;
+}
+
+}  // namespace
+
 FetchResult Transport::fetchOnce(const VantagePoint& vantage,
                                  http::Request request,
                                  const FetchOptions& options, int attempt) {
-  FetchResult result;
+  const Path path = pathOf(*world_, vantage);
+  PathContext ctx(*world_, vantage, request, options.attemptBase + attempt,
+                  options.attemptDeadlineHours);
 
-  const OutagePlan* outages = world_->outagePlan();
+  if (auto preempt = path.run(&PathStage::onDns, ctx))
+    return finish(ctx, std::move(*preempt));
+  if (!ctx.ip) ctx.ip = world_->resolve(request.url.host());
+  if (!ctx.ip)
+    return finish(ctx, {FetchOutcome::kDnsFailure, FailureSignature::kEmptyDns,
+                        FailureCause::kOrganic,
+                        "NXDOMAIN: " + request.url.host(), {}});
 
-  // Permanent vantage death (OutagePlan) preempts everything, including
-  // transient fault injection: a dead vantage has no network activity at
-  // all, only client-side timeouts.
-  if (outages != nullptr && outages->vantageDead(vantage, world_->now())) {
-    result.outcome = FetchOutcome::kTimeout;
-    result.injectedFault = FaultKind::kOutage;
-    result.signature = FailureSignature::kTimeout;
-    result.cause = FailureCause::kOutage;
-    result.error = "vantage offline: " + vantage.name +
-                   " permanently dead since hour " +
-                   std::to_string(outages->deathTime(vantage.name)->hours());
-    return result;
-  }
-
-  // Injected transient fault (FaultPlan, if the world carries one) preempts
-  // the whole exchange. The decision is a pure function of
-  // (plan seed, vantage, url, attempt) — see simnet/fault.h. The signatures
-  // deliberately overlap packet-level censorship's: on a single trial the
-  // two are indistinguishable, which is what the mechanism classifier's
-  // evidence budget exists to resolve.
-  if (const FaultPlan* plan = world_->faultPlan()) {
-    const FaultKind fault = plan->roll(vantage, request.url.toString(),
-                                       options.attemptBase + attempt);
-    if (fault != FaultKind::kNone) {
-      result.injectedFault = fault;
-      result.cause = FailureCause::kFault;
-      switch (fault) {
-        case FaultKind::kDnsFlap:
-          result.outcome = FetchOutcome::kDnsFailure;
-          result.signature = FailureSignature::kEmptyDns;
-          result.error = "injected transient DNS flap: " + request.url.host();
-          break;
-        case FaultKind::kConnectFail:
-          result.outcome = FetchOutcome::kConnectFailure;
-          result.signature = FailureSignature::kRefused;
-          result.error = "injected transient connect failure";
-          break;
-        case FaultKind::kLoss:
-          result.outcome = FetchOutcome::kTimeout;
-          result.signature = FailureSignature::kTimeout;
-          result.error = "injected transient loss (flow blackholed)";
-          break;
-        case FaultKind::kTimeout:
-          result.outcome = FetchOutcome::kTimeout;
-          result.signature = FailureSignature::kTimeout;
-          result.error = "injected timeout (response past deadline)";
-          break;
-        case FaultKind::kNone:
-        case FaultKind::kOutage:  // never rolled by a FaultPlan
-          break;
-      }
-      return result;
-    }
-  }
-
-  // Adversarial interference (InterferencePlan, if armed for this ISP).
-  // Window state is fed first — the fetch that trips a threshold is itself
-  // affected — then lockouts preempt the exchange, tarpits consume clock,
-  // and hide/flaky windows unplug the HTTP censor for this flow. All rate
-  // draws are pure in (plan seed, purpose, vantage, url, attempt); only the
-  // probe/lockout windows are history-dependent, and arming one bumps the
-  // world's state epoch exactly like a residual hold-down.
-  const InterferencePlan* iplan = world_->interferencePlan();
-  const InterferenceProfile* iprofile = nullptr;
-  std::string iUrl;
-  int iAttempt = 0;
-  bool censorUnplugged = false;
-  if (iplan != nullptr && vantage.isp != nullptr) {
-    const InterferenceProfile& profile = iplan->profileFor(vantage);
-    if (profile.any()) {
-      iprofile = &profile;
-      iUrl = request.url.toString();
-      iAttempt = options.attemptBase + attempt;
-      const InterferenceEffect window = world_->interferenceState().recordFetch(
-          vantage.name, world_->now(), profile);
-      if (window == InterferenceEffect::kLockout) {
-        result.interference = InterferenceEffect::kLockout;
-        result.cause = FailureCause::kInterference;
-        if (iplan->draw("lockout-sig", vantage, iUrl, iAttempt) < 0.5) {
-          result.outcome = FetchOutcome::kConnectFailure;
-          result.signature = FailureSignature::kRefused;
-          result.error = "connection refused (rate-limit lockout)";
-        } else {
-          result.outcome = FetchOutcome::kTimeout;
-          result.signature = FailureSignature::kTimeout;
-          result.error = "connection timed out (rate-limit lockout)";
-        }
-        return result;
-      }
-      if (profile.tarpitRate > 0.0 &&
-          iplan->draw("tarpit", vantage, iUrl, iAttempt) < profile.tarpitRate) {
-        if (options.attemptDeadlineHours > 0 &&
-            options.attemptDeadlineHours < profile.tarpitHours) {
-          // Deadline cancellation: the client hangs up after its per-attempt
-          // budget and sees the distinct slow-drip signature.
-          world_->clock().advanceHours(options.attemptDeadlineHours);
-          result.interference = InterferenceEffect::kTarpit;
-          result.outcome = FetchOutcome::kTimeout;
-          result.signature = FailureSignature::kSlowDrip;
-          result.cause = FailureCause::kInterference;
-          result.error = "slow-drip response cancelled at deadline";
-          return result;
-        }
-        // No (effective) deadline: the drip eventually completes, at full
-        // simulated-clock cost. The exchange then proceeds normally.
-        world_->clock().advanceHours(profile.tarpitHours);
-        result.interference = InterferenceEffect::kTarpit;
-      }
-      if (window == InterferenceEffect::kHidden) {
-        censorUnplugged = true;
-        if (result.interference == InterferenceEffect::kNone)
-          result.interference = InterferenceEffect::kHidden;
-      } else if (profile.flakyRate > 0.0 &&
-                 iplan->draw("flaky", vantage, iUrl, iAttempt) <
-                     profile.flakyRate) {
-        censorUnplugged = true;
-        if (result.interference == InterferenceEffect::kNone)
-          result.interference = InterferenceEffect::kFlakyOpen;
-      }
-    }
-  }
-
-  const std::string host = util::toLower(request.url.host());
-  const std::vector<PacketFilter*>* packetChain =
-      vantage.isp != nullptr ? &vantage.isp->packetChain() : nullptr;
-  PacketContext pctx{world_->now(), vantage.isp, vantage.name,
-                     &world_->flows()};
-
-  // DNS stage of the wire chain: an on-path poisoner races the resolver and
-  // wins — its forged answer preempts both the ISP override and the global
-  // registry.
-  std::optional<net::Ipv4Addr> ip;
-  if (packetChain != nullptr) {
-    for (PacketFilter* filter : *packetChain) {
-      const auto tamper = filter->onDnsQuery(host, pctx);
-      if (!tamper) continue;
-      if (tamper->kind == DnsTamper::Kind::kNxdomain) {
-        result.outcome = FetchOutcome::kDnsFailure;
-        result.signature = FailureSignature::kEmptyDns;
-        result.cause = FailureCause::kPacketFilter;
-        result.error = "NXDOMAIN: " + request.url.host() +
-                       " (forged empty answer)";
-        return result;
-      }
-      ip = tamper->answer;
-      break;
-    }
-  }
-
-  // Field vantage points use their ISP's resolver, which may be tampered
-  // with (DNS-based censorship); the lab resolves cleanly.
-  if (!ip && vantage.isp != nullptr) ip = vantage.isp->dnsOverride(host);
-  if (!ip) ip = world_->resolve(request.url.host());
-  if (!ip) {
-    result.outcome = FetchOutcome::kDnsFailure;
-    result.signature = FailureSignature::kEmptyDns;
-    result.cause = FailureCause::kOrganic;
-    result.error = "NXDOMAIN: " + request.url.host();
-    return result;
-  }
-
-  // Connect + request stages of the wire chain. The flow is tracked in the
-  // shared conntrack, then every filter sees the SYN/ClientHello; cleartext
-  // flows additionally expose their first request bytes. TLS payloads are
-  // opaque on the wire, so the request stage never runs for https.
+  const std::uint16_t port = request.url.effectivePort();
   const bool tls = util::iequals(request.url.scheme(), "https");
-  if (packetChain != nullptr && !packetChain->empty()) {
-    FlowSyn syn{host, *ip, request.url.effectivePort(), tls,
-                tls && !options.omitSni};
-    world_->flows().track(FlowKey{vantage.name, host, syn.port},
-                          world_->now());
-    const auto killResult = [&](const FlowKill& kill,
-                                FailureSignature resetSignature) {
-      result.cause = FailureCause::kPacketFilter;
-      switch (kill.kind) {
-        case FlowKill::Kind::kReset:
-          result.outcome = FetchOutcome::kReset;
-          result.signature = resetSignature;
-          result.error = "connection reset by peer";
-          break;
-        case FlowKill::Kind::kDrop:
-          result.outcome = FetchOutcome::kTimeout;
-          result.signature = FailureSignature::kTimeout;
-          result.error = "connection timed out";
-          break;
-        case FlowKill::Kind::kRefuse:
-          result.outcome = FetchOutcome::kConnectFailure;
-          result.signature = FailureSignature::kRefused;
-          result.error = "connection refused: " + ip->toString() + ":" +
-                         std::to_string(syn.port);
-          break;
-      }
-    };
-    for (PacketFilter* filter : *packetChain) {
-      if (const auto kill = filter->onConnect(syn, pctx)) {
-        killResult(*kill, FailureSignature::kRstBeforeBanner);
-        return result;
-      }
-    }
-    if (!tls) {
-      for (PacketFilter* filter : *packetChain) {
-        if (const auto kill = filter->onRequest(syn, request, pctx)) {
-          killResult(*kill, FailureSignature::kRstAfterRequest);
-          return result;
-        }
-      }
-    }
+  const util::SimTime now = world_->now();
+  ctx.syn = FlowSyn{request.url.host(), *ctx.ip, port, tls,
+                    tls && !options.omitSni};
+  ctx.policy = InterceptContext{
+      path.outages != nullptr ? path.outages->policyTime(now) : now,
+      &world_->rng()};
+  // Flows are tracked lazily: worlds without packet filters never touch the
+  // conntrack.
+  if (vantage.isp != nullptr && vantage.isp->hasPacketFilters())
+    world_->flows().track(FlowKey{vantage.name, ctx.syn.host, port}, now);
+
+  if (auto preempt = path.run(&PathStage::onConnect, ctx))
+    return finish(ctx, std::move(*preempt));
+  if (auto preempt = path.run(&PathStage::onRequest, ctx)) {
+    // Only a middlebox answers with a response; mimicry disguises it.
+    if (preempt->response && ctx.interference != nullptr)
+      world_->interferencePlan()->disguise(ctx, *preempt);
+    return finish(ctx, std::move(*preempt));
   }
 
-  // Middleboxes see the policy-effective time: normally `now`, but during an
-  // OutagePlan DB-rollback window the chain's view of mutable policy state
-  // (category databases, frozen snapshots) reverts to an earlier date.
-  const util::SimTime policyNow =
-      outages != nullptr ? outages->policyTime(world_->now()) : world_->now();
-  InterceptContext ctx{policyNow, vantage.isp, vantage.countryAlpha2,
-                       &world_->rng()};
-
-  // Egress middlebox chain (field vantage points only). A box the outage
-  // plan has silently stopped fails open: it neither intercepts nor
-  // post-processes, exactly as if unplugged. An HTTP-layer proxy only acts
-  // once it has the request, so its reset signature is rst-after-request —
-  // the same shape a stateless packet injector produces.
-  // A hidden (probe-detected) or flaky-open censor behaves as if unplugged
-  // for this flow: no intercept, no return-path post-processing.
-  if (vantage.isp != nullptr && !censorUnplugged) {
-    for (Middlebox* box : vantage.isp->chain()) {
-      if (outages != nullptr && outages->middleboxStopped(*box, world_->now()))
-        continue;
-      const auto action = box->intercept(request, ctx);
-      if (!action) continue;
-      switch (action->kind) {
-        case InterceptAction::Kind::kRespond:
-          result.outcome = FetchOutcome::kOk;
-          result.response = action->response;
-          // Blockpage mimicry: swap the censor's own template for another
-          // vendor's to bait misattribution. Pure per-fetch draw.
-          if (iprofile != nullptr && iprofile->mimicryRate > 0.0 &&
-              !iprofile->mimicPool.empty() &&
-              iplan->draw("mimic", vantage, iUrl, iAttempt) <
-                  iprofile->mimicryRate) {
-            result.response =
-                mimicResponse(iplan->drawTemplate(*iprofile, vantage, iUrl,
-                                                  iAttempt));
-            result.interference = InterferenceEffect::kMimicry;
-          }
-          return result;
-        case InterceptAction::Kind::kReset:
-          result.outcome = FetchOutcome::kReset;
-          result.signature = FailureSignature::kRstAfterRequest;
-          result.cause = FailureCause::kMiddlebox;
-          result.error = "connection reset by peer";
-          return result;
-        case InterceptAction::Kind::kDrop:
-          result.outcome = FetchOutcome::kTimeout;
-          result.signature = FailureSignature::kTimeout;
-          result.cause = FailureCause::kMiddlebox;
-          result.error = "connection timed out";
-          return result;
-      }
-    }
-  }
-
-  HttpEndpoint* endpoint = world_->endpointAt(*ip, request.url.effectivePort());
-  if (endpoint == nullptr) {
-    result.outcome = FetchOutcome::kConnectFailure;
-    result.signature = FailureSignature::kRefused;
-    result.cause = FailureCause::kOrganic;
-    result.error = "connection refused: " + ip->toString() + ":" +
-                   std::to_string(request.url.effectivePort());
-    return result;
-  }
-
+  HttpEndpoint* endpoint = world_->endpointAt(*ctx.ip, port);
+  if (endpoint == nullptr)
+    return finish(ctx, {FetchOutcome::kConnectFailure,
+                        FailureSignature::kRefused, FailureCause::kOrganic,
+                        "connection refused: " + ctx.ip->toString() + ":" +
+                            std::to_string(port),
+                        {}});
   http::Response response = endpoint->handle(request, world_->now());
-
-  // Return path through the chain, innermost middlebox last.
-  if (vantage.isp != nullptr && !censorUnplugged) {
-    const auto& chain = vantage.isp->chain();
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      if (outages != nullptr &&
-          outages->middleboxStopped(**it, world_->now()))
-        continue;
-      (*it)->postProcess(request, response, ctx);
-    }
-  }
-
-  result.outcome = FetchOutcome::kOk;
-  result.response = std::move(response);
-  return result;
+  path.respond(ctx, response);
+  return finish(ctx, Preempt::respond(std::move(response)));
 }
 
 std::optional<net::Ipv4Addr> Transport::resolveFrom(
     const VantagePoint& vantage, std::string_view hostname) {
-  const std::string host = util::toLower(hostname);
-  if (vantage.isp != nullptr) {
-    PacketContext pctx{world_->now(), vantage.isp, vantage.name,
-                       &world_->flows()};
-    for (PacketFilter* filter : vantage.isp->packetChain()) {
-      const auto tamper = filter->onDnsQuery(host, pctx);
-      if (!tamper) continue;
-      if (tamper->kind == DnsTamper::Kind::kNxdomain) return std::nullopt;
-      return tamper->answer;
-    }
-    if (const auto ip = vantage.isp->dnsOverride(host)) return ip;
-  }
-  return world_->resolve(host);
+  http::Request query = http::Request::get(
+      net::Url{"http", std::string(hostname), std::nullopt, "/", ""});
+  PathContext ctx(*world_, vantage, query, 0, 0);
+  Path path = pathOf(*world_, vantage);
+  path.head = {};
+  if (path.run(&PathStage::onDns, ctx)) return std::nullopt;
+  return ctx.ip ? ctx.ip : world_->resolve(query.url.host());
+}
+
+Cacheability Transport::cacheability(const VantagePoint& vantage) const {
+  const Path path = pathOf(*world_, vantage);
+  Cacheability level = Cacheability::kShared;
+  for (const auto stages : {path.head, path.isp})
+    for (const PathStage* stage : stages)
+      level = std::min(level, stage->cacheability(vantage));
+  return level;
 }
 
 FetchResult Transport::fetchAttempt(const VantagePoint& vantage,

@@ -7,59 +7,10 @@
 #include <vector>
 
 #include "http/message.h"
-#include "simnet/fault.h"
-#include "simnet/interference.h"
-#include "simnet/isp.h"
+#include "simnet/path_stage.h"
 #include "simnet/world.h"
 
 namespace urlf::simnet {
-
-/// How a single fetch ended at the transport level.
-enum class FetchOutcome {
-  kOk,              ///< got an HTTP response (possibly a block page)
-  kDnsFailure,      ///< hostname did not resolve
-  kConnectFailure,  ///< nothing listening at (ip, port)
-  kTimeout,         ///< flow blackholed in transit
-  kReset,           ///< TCP RST injected in transit
-  kBadUrl,          ///< the URL never parsed — no network activity happened
-};
-
-[[nodiscard]] std::string_view toString(FetchOutcome outcome);
-
-/// The fine-grained, client-visible shape of a failed fetch — *what the
-/// wire showed*, not why. Packet-level censorship and ordinary substrate
-/// faults produce overlapping signatures (that ambiguity is the point:
-/// a single trial cannot tell them apart), so the mechanism classifier
-/// works from repeated signatures plus cross-checks, never one draw.
-enum class FailureSignature {
-  kNone,             ///< the fetch did not fail
-  kEmptyDns,         ///< resolution came back empty (NXDOMAIN)
-  kRefused,          ///< connection refused — RST on the SYN
-  kRstBeforeBanner,  ///< reset after connect, before any application byte
-  kRstAfterRequest,  ///< reset after the request bytes went out
-  kTimeout,          ///< nothing came back before the deadline
-  kSlowDrip,         ///< bytes trickled but the per-attempt deadline fired
-};
-
-[[nodiscard]] std::string_view toString(FailureSignature signature);
-
-/// Why the fetch failed — *ground truth the simulator knows*, recorded so
-/// journals and resumed campaigns never conflate an injected transient
-/// fault with a middlebox- or packet-filter-caused failure that has the
-/// same outcome. (Real measurement clients cannot observe this directly;
-/// the mechanism classifier must recover it from signatures alone.)
-enum class FailureCause {
-  kNone,          ///< no failure
-  kOrganic,       ///< condition of the world itself (no DNS record, no
-                  ///< listener at the address)
-  kFault,         ///< injected transient fault (FaultPlan)
-  kOutage,        ///< permanent vantage death (OutagePlan)
-  kMiddlebox,     ///< HTTP-layer middlebox killed the exchange
-  kPacketFilter,  ///< packet-level filter tampered with or killed the flow
-  kInterference,  ///< adversarial interference (InterferencePlan)
-};
-
-[[nodiscard]] std::string_view toString(FailureCause cause);
 
 /// The result of fetching a URL from a vantage point.
 struct FetchResult {
@@ -135,12 +86,19 @@ struct FetchOptions {
 
 /// Client-side HTTP over the simulated Internet.
 ///
-/// A fetch from a field vantage point traverses its ISP's middlebox chain
-/// (where URL filters may block it); a fetch from the lab vantage goes
-/// straight to the origin. This is the only I/O primitive the measurement
-/// methodology uses. When the world carries a FaultPlan, each attempt may be
-/// preempted by an injected transient fault; the retry policy then governs
-/// re-fetching with simulated-clock backoff.
+/// Every fetch runs one path of stages (simnet/path_stage.h), in order:
+///  1. the world-wide plans — outage, fault, interference (window, lockout,
+///     tarpit) — each only if installed;
+///  2. the ISP's packet filters, then World::resolve;
+///  3. flow tracking (only when the ISP has packet filters), the connect
+///     hooks, then the request hooks — packet filters see cleartext flows
+///     only, middleboxes that are stopped or unplugged sit out, and
+///     interference may disguise a middlebox's answer;
+///  4. the endpoint, then the middleboxes' response hooks, innermost first.
+/// The first stage that preempts ends the attempt. The lab vantage has no
+/// ISP, so only the world-wide plans stand between it and the origin. This
+/// is the only I/O primitive the measurement methodology uses; the retry
+/// policy governs re-fetching with simulated-clock backoff.
 class Transport {
  public:
   explicit Transport(World& world) : world_(&world) {}
@@ -155,13 +113,17 @@ class Transport {
                                      std::string_view urlText,
                                      const FetchOptions& options = {});
 
-  /// Resolve `hostname` exactly as a fetch from `vantage` would — packet
-  /// chain DNS stage first, then the ISP resolver override, then the global
-  /// registry. This is the mechanism classifier's resolver cross-check: it
-  /// consumes no fault draw and advances nothing, like a client re-querying
-  /// its resolver out of band.
+  /// Resolve `hostname` exactly as a fetch from `vantage` would — the ISP's
+  /// DNS hooks first, then the global registry. This is the mechanism
+  /// classifier's resolver cross-check: the world-wide plans are not
+  /// consulted, so it consumes no fault draw and advances nothing, like a
+  /// client re-querying its resolver out of band.
   [[nodiscard]] std::optional<net::Ipv4Addr> resolveFrom(
       const VantagePoint& vantage, std::string_view hostname);
+
+  /// How far a verdict observed from `vantage` may be reused: the least
+  /// cacheable stage on its path decides.
+  [[nodiscard]] Cacheability cacheability(const VantagePoint& vantage) const;
 
  private:
   [[nodiscard]] FetchResult fetchOnce(const VantagePoint& vantage,

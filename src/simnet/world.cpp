@@ -9,6 +9,16 @@ namespace urlf::simnet {
 
 World::World(std::uint64_t seed) : rng_(seed) {}
 
+void World::relinkHeadStages() {
+  headStageCount_ = 0;
+  const auto link = [this](PathStage* stage) {
+    if (stage != nullptr) headStages_[headStageCount_++] = stage;
+  };
+  link(outagePlan_ ? &*outagePlan_ : nullptr);
+  link(faultPlan_ ? &*faultPlan_ : nullptr);
+  link(interferencePlan_ ? &*interferencePlan_ : nullptr);
+}
+
 AutonomousSystem& World::createAs(std::uint32_t asn, std::string name,
                                   std::string description,
                                   std::string countryAlpha2,

@@ -1,10 +1,12 @@
 #ifndef URLF_SIMNET_WORLD_H
 #define URLF_SIMNET_WORLD_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,8 +58,14 @@ class World {
 
   /// Install (or replace) the transient-fault model the transport consults.
   /// A zero-rate plan is behaviourally identical to having no plan.
-  void setFaultPlan(FaultPlan plan) { faultPlan_ = std::move(plan); }
-  void clearFaultPlan() { faultPlan_.reset(); }
+  void setFaultPlan(FaultPlan plan) {
+    faultPlan_ = std::move(plan);
+    relinkHeadStages();
+  }
+  void clearFaultPlan() {
+    faultPlan_.reset();
+    relinkHeadStages();
+  }
   [[nodiscard]] const FaultPlan* faultPlan() const {
     return faultPlan_ ? &*faultPlan_ : nullptr;
   }
@@ -65,8 +73,14 @@ class World {
   /// Install (or replace) the persistent-failure model (vantage deaths,
   /// middlebox silent-stops, DB rollback windows). Like the fault plan, an
   /// empty plan is behaviourally identical to having none.
-  void setOutagePlan(OutagePlan plan) { outagePlan_ = std::move(plan); }
-  void clearOutagePlan() { outagePlan_.reset(); }
+  void setOutagePlan(OutagePlan plan) {
+    outagePlan_ = std::move(plan);
+    relinkHeadStages();
+  }
+  void clearOutagePlan() {
+    outagePlan_.reset();
+    relinkHeadStages();
+  }
   [[nodiscard]] const OutagePlan* outagePlan() const {
     return outagePlan_ ? &*outagePlan_ : nullptr;
   }
@@ -78,10 +92,12 @@ class World {
   void setInterferencePlan(InterferencePlan plan) {
     interferencePlan_ = std::move(plan);
     interference_.clear();
+    relinkHeadStages();
   }
   void clearInterferencePlan() {
     interferencePlan_.reset();
     interference_.clear();
+    relinkHeadStages();
   }
   [[nodiscard]] const InterferencePlan* interferencePlan() const {
     return interferencePlan_ ? &*interferencePlan_ : nullptr;
@@ -93,6 +109,13 @@ class World {
   [[nodiscard]] InterferenceState& interferenceState() { return interference_; }
   [[nodiscard]] const InterferenceState& interferenceState() const {
     return interference_;
+  }
+
+  /// The world-wide stages at the head of every fetch path, in path order:
+  /// the outage plan, the fault plan, then the interference plan — each
+  /// only while installed.
+  [[nodiscard]] std::span<PathStage* const> headStages() {
+    return {headStages_.data(), headStageCount_};
   }
 
   // --- topology -----------------------------------------------------------
@@ -145,11 +168,6 @@ class World {
     T& ref = *owned;
     packetFilters_.push_back(std::move(owned));
     return ref;
-  }
-
-  [[nodiscard]] const std::vector<std::unique_ptr<PacketFilter>>&
-  packetFilters() const {
-    return packetFilters_;
   }
 
   /// The conntrack every ISP's packet filters share (DESIGN.md §4.8). Flows
@@ -255,6 +273,8 @@ class World {
   [[nodiscard]] geo::AsnDatabase buildAsnDatabase() const;
 
  private:
+  void relinkHeadStages();
+
   static std::uint64_t bindingKey(net::Ipv4Addr ip, std::uint16_t port) {
     return (std::uint64_t{ip.value()} << 16) | port;
   }
@@ -272,6 +292,8 @@ class World {
   std::optional<OutagePlan> outagePlan_;
   std::optional<InterferencePlan> interferencePlan_;
   InterferenceState interference_;
+  std::array<PathStage*, 3> headStages_{};
+  std::size_t headStageCount_ = 0;
   std::map<std::uint32_t, std::unique_ptr<AutonomousSystem>> ases_;
   std::vector<std::unique_ptr<Isp>> isps_;
   std::vector<std::unique_ptr<HttpEndpoint>> endpoints_;

@@ -197,6 +197,58 @@ INSTANTIATE_TEST_SUITE_P(Sweep, WireRoundTripProperty,
 
 // --------------------------------------------------------------- Html ----
 
+// ------------------------------------------------------------- framing ----
+
+TEST(MessageFrameTest, FramesBackToBackMessages) {
+  const std::string one = "POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc";
+  const std::string two = "GET /b HTTP/1.1\r\n\r\n";
+  const auto frame = messageFrame(one + two);
+  ASSERT_EQ(frame.state, Frame::State::kComplete);
+  EXPECT_EQ(frame.size, one.size());
+  EXPECT_EQ(messageFrame(one.substr(0, one.size() - 1)).state,
+            Frame::State::kIncomplete);
+}
+
+TEST(MessageFrameTest, RefusesContentLengthThatOverflows) {
+  // 2^64 + 1 wraps to 1 in unchecked 64-bit arithmetic and would frame a
+  // "complete" message out of a truncated buffer.
+  const std::string wrapped =
+      "POST / HTTP/1.1\r\nContent-Length: 18446744073709551617\r\n\r\nxy";
+  EXPECT_EQ(messageFrame(wrapped).state, Frame::State::kBad);
+  const std::string huge =
+      "POST / HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n";
+  EXPECT_EQ(messageFrame(huge).state, Frame::State::kBad);
+}
+
+TEST(MessageFrameTest, BoundsTheMessageSize) {
+  const std::string head = "POST / HTTP/1.1\r\nContent-Length: ";
+  const std::size_t headerBytes = head.size() + 4;  // + final CRLFCRLF
+  const auto withLength = [&](std::size_t length) {
+    return head + std::to_string(length) + "\r\n\r\n";
+  };
+  const std::size_t largest =
+      kMaxMessageBytes - headerBytes - std::to_string(kMaxMessageBytes).size();
+  EXPECT_EQ(messageFrame(withLength(largest)).state, Frame::State::kIncomplete);
+  EXPECT_EQ(messageFrame(withLength(kMaxMessageBytes)).state,
+            Frame::State::kBad);
+}
+
+TEST(MessageFrameTest, BoundsTheHeaderBlock) {
+  // A header block that never ends is refused once it passes the bound...
+  std::string endless = "GET / HTTP/1.1\r\n";
+  while (endless.size() <= kMaxHeaderBytes + 64)
+    endless += "X-Filler: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n";
+  EXPECT_EQ(messageFrame(endless).state, Frame::State::kBad);
+  // ...and so is an over-long block that does end.
+  EXPECT_EQ(messageFrame(endless + "\r\n").state, Frame::State::kBad);
+  // Just under the bound still waits for the rest.
+  EXPECT_EQ(messageFrame(endless.substr(0, kMaxHeaderBytes)).state,
+            Frame::State::kIncomplete);
+  // The first line keeps its own bound.
+  EXPECT_EQ(messageFrame(std::string(kMaxHeaderBytes + 1, 'G')).state,
+            Frame::State::kBad);
+}
+
 TEST(HtmlTest, ExtractTitle) {
   EXPECT_EQ(extractTitle("<html><head><title>McAfee Web Gateway</title>"),
             "McAfee Web Gateway");

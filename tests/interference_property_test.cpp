@@ -53,10 +53,9 @@ class VendorBlockBox : public simnet::Middlebox {
 
   std::string name() const override { return "tl-netsweeper"; }
 
-  std::optional<simnet::InterceptAction> intercept(
-      http::Request& request, const simnet::InterceptContext&) override {
-    if (hosts_.count(util::toLower(request.url.host())) > 0)
-      return simnet::InterceptAction::respond(
+  std::optional<simnet::Preempt> onRequest(simnet::PathContext& ctx) override {
+    if (hosts_.count(util::toLower(ctx.request.url.host())) > 0)
+      return simnet::Preempt::respond(
           simnet::mimicResponse(MimicTemplate::kNetsweeper));
     return std::nullopt;
   }
@@ -365,6 +364,7 @@ TEST(InterferenceProperty, VerdictMemoDeactivatesUnderInterference) {
   measure::Client cleanClient(*clean.world, *clean.fields[0], *clean.lab);
   cleanClient.enableVerdictMemo(true);
   EXPECT_TRUE(cleanClient.verdictMemoActive());
+  EXPECT_EQ(cleanClient.cacheability(), simnet::Cacheability::kShared);
   EXPECT_TRUE(cleanClient.cacheableChains());
 
   auto armed = buildWorld(41);
@@ -374,6 +374,7 @@ TEST(InterferenceProperty, VerdictMemoDeactivatesUnderInterference) {
   measure::Client armedClient(*armed.world, *armed.fields[0], *armed.lab);
   armedClient.enableVerdictMemo(true);
   EXPECT_FALSE(armedClient.verdictMemoActive());
+  EXPECT_EQ(armedClient.cacheability(), simnet::Cacheability::kNone);
   EXPECT_FALSE(armedClient.cacheableChains());
 }
 

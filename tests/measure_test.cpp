@@ -173,9 +173,8 @@ TEST_F(MeasureFixture, ErrorVerdictWhenSiteIsDownEverywhere) {
 TEST_F(MeasureFixture, BlockedOtherOnReset) {
   struct Resetter : simnet::Middlebox {
     std::string name() const override { return "rst"; }
-    std::optional<simnet::InterceptAction> intercept(
-        http::Request&, const simnet::InterceptContext&) override {
-      return simnet::InterceptAction::reset();
+    std::optional<simnet::Preempt> onRequest(simnet::PathContext&) override {
+      return simnet::Preempt::reset(simnet::FailureCause::kMiddlebox);
     }
   };
   isp->attachMiddlebox(world.makeMiddlebox<Resetter>());
@@ -191,12 +190,7 @@ TEST_F(MeasureFixture, BlockedOtherOnReset) {
 TEST_F(MeasureFixture, InconclusiveOnContentRewriting) {
   struct Rewriter : simnet::Middlebox {
     std::string name() const override { return "rewrite"; }
-    std::optional<simnet::InterceptAction> intercept(
-        http::Request&, const simnet::InterceptContext&) override {
-      return std::nullopt;
-    }
-    void postProcess(const http::Request&, http::Response& response,
-                     const simnet::InterceptContext&) override {
+    void onResponse(simnet::PathContext&, http::Response& response) override {
       response.body += "<!-- injected -->";
     }
   };

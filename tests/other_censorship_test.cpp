@@ -1,12 +1,12 @@
 // The censorship mechanisms the paper's method deliberately distinguishes
-// itself from (§4.1): TCP-reset firewalls, blackholing, and DNS tampering.
-// These produce blocked-but-unattributable measurements — demonstrating why
-// block-page products are the tractable confirmation target — plus the
-// RepeatedTester statistics utility.
+// itself from (§4.1): keyword RST injection, blackholing, and DNS tampering,
+// modelled by the packet-level filters. These produce
+// blocked-but-unattributable measurements — demonstrating why block-page
+// products are the tractable confirmation target — plus the RepeatedTester
+// statistics utility.
 #include <gtest/gtest.h>
 
 #include "measure/repeated.h"
-#include "simnet/firewall.h"
 #include "simnet/hosting.h"
 #include "simnet/origin_server.h"
 #include "simnet/transport.h"
@@ -37,12 +37,12 @@ class OtherCensorshipFixture : public ::testing::Test {
   std::unique_ptr<simnet::HostingProvider> hosting;
 };
 
-// ---------------------------------------------------- Keyword firewall ----
+// ------------------------------------------------------ Keyword RSTs ----
 
 TEST_F(OtherCensorshipFixture, FirewallResetsMatchingTraffic) {
-  auto& firewall = world.makeMiddlebox<simnet::KeywordResetFirewall>(
+  auto& firewall = world.makePacketFilter<simnet::RstInjector>(
       "national-firewall", std::vector<std::string>{"falun", "proxy"});
-  isp->attachMiddlebox(firewall);
+  isp->attachPacketFilter(firewall);
 
   const auto banned = hosting->createDomain("falungongnews.org",
                                             simnet::ContentProfile::kNews);
@@ -65,9 +65,9 @@ TEST_F(OtherCensorshipFixture, FirewallResetsMatchingTraffic) {
 }
 
 TEST_F(OtherCensorshipFixture, FirewallKeywordMatchesPathToo) {
-  auto& firewall = world.makeMiddlebox<simnet::KeywordResetFirewall>(
+  auto& firewall = world.makePacketFilter<simnet::RstInjector>(
       "fw", std::vector<std::string>{"forbidden-topic"});
-  isp->attachMiddlebox(firewall);
+  isp->attachPacketFilter(firewall);
   const auto site =
       hosting->createDomain("plainsite.org", simnet::ContentProfile::kBenign);
   simnet::Transport transport(world);
@@ -82,9 +82,10 @@ TEST_F(OtherCensorshipFixture, FirewallKeywordMatchesPathToo) {
 }
 
 TEST_F(OtherCensorshipFixture, DropModeLooksLikeTimeout) {
-  auto& firewall = world.makeMiddlebox<simnet::KeywordResetFirewall>(
-      "fw", std::vector<std::string>{"proxy"}, /*dropInsteadOfReset=*/true);
-  isp->attachMiddlebox(firewall);
+  // Blackholing: a null route swallows the SYN and the client times out.
+  auto& nullRoute = world.makePacketFilter<simnet::NullRouteFilter>(
+      "fw", std::vector<std::string>{"myproxysite.org"});
+  isp->attachPacketFilter(nullRoute);
   const auto site =
       hosting->createDomain("myproxysite.org", simnet::ContentProfile::kBenign);
   simnet::Transport transport(world);
@@ -96,9 +97,9 @@ TEST_F(OtherCensorshipFixture, DropModeLooksLikeTimeout) {
 TEST_F(OtherCensorshipFixture, FirewallBlocksAreUnattributable) {
   // The measurement client records a block, but there is no block page and
   // therefore no product attribution — the ambiguity §4.1 notes.
-  auto& firewall = world.makeMiddlebox<simnet::KeywordResetFirewall>(
+  auto& firewall = world.makePacketFilter<simnet::RstInjector>(
       "fw", std::vector<std::string>{"glype"});
-  isp->attachMiddlebox(firewall);
+  isp->attachPacketFilter(firewall);
   const auto site = hosting->createDomain(
       "glypeproxyhub.org", simnet::ContentProfile::kGlypeProxy);
 
@@ -108,9 +109,18 @@ TEST_F(OtherCensorshipFixture, FirewallBlocksAreUnattributable) {
   EXPECT_FALSE(result.blockPage);
 }
 
-// -------------------------------------------------------- DNS override ----
+// ------------------------------------------------------ DNS tampering ----
 
-TEST_F(OtherCensorshipFixture, DnsOverrideRedirectsFieldOnly) {
+/// A forged-answer resolver poisoner pointing `zone` at `target`.
+void poisonToward(simnet::World& world, simnet::Isp& isp,
+                  const std::string& zone, net::Ipv4Addr target) {
+  auto& poisoner = world.makePacketFilter<simnet::DnsPoisoner>(
+      "resolver-" + zone, simnet::DnsTamper::Kind::kForged, target);
+  poisoner.poisonZone(zone);
+  isp.attachPacketFilter(poisoner);
+}
+
+TEST_F(OtherCensorshipFixture, ForgedDnsRedirectsFieldOnly) {
   // The censor points the hostname at a sinkhole serving a warning page.
   auto& sinkhole = world.makeEndpoint<simnet::OriginServer>("sinkhole");
   simnet::Page warning;
@@ -123,7 +133,7 @@ TEST_F(OtherCensorshipFixture, DnsOverrideRedirectsFieldOnly) {
 
   const auto site =
       hosting->createDomain("bannednews.org", simnet::ContentProfile::kNews);
-  isp->addDnsOverride("bannednews.org", sinkholeIp);
+  poisonToward(world, *isp, "bannednews.org", sinkholeIp);
 
   simnet::Transport transport(world);
   const auto fieldFetch =
@@ -138,7 +148,7 @@ TEST_F(OtherCensorshipFixture, DnsOverrideRedirectsFieldOnly) {
             std::string::npos);
 }
 
-TEST_F(OtherCensorshipFixture, DnsOverrideYieldsInconclusiveVerdict) {
+TEST_F(OtherCensorshipFixture, ForgedDnsYieldsInconclusiveVerdict) {
   // Same status (200) but different content, not a known block page: the
   // client cannot attribute it — kInconclusive.
   auto& sinkhole = world.makeEndpoint<simnet::OriginServer>("sinkhole");
@@ -151,36 +161,22 @@ TEST_F(OtherCensorshipFixture, DnsOverrideYieldsInconclusiveVerdict) {
 
   const auto site =
       hosting->createDomain("bannedblog.org", simnet::ContentProfile::kNews);
-  isp->addDnsOverride("bannedblog.org", sinkholeIp);
+  poisonToward(world, *isp, "bannedblog.org", sinkholeIp);
 
   measure::Client client(world, *field, *lab);
   const auto result = client.testUrl("http://bannedblog.org/");
   EXPECT_EQ(result.verdict, measure::Verdict::kInconclusive);
 }
 
-TEST_F(OtherCensorshipFixture, DnsOverrideToUnboundAddressIsInconclusive) {
+TEST_F(OtherCensorshipFixture, ForgedDnsToUnboundAddressIsInconclusive) {
   // Blackhole resolution: points at an address with nothing listening.
   const auto site =
       hosting->createDomain("nulled.org", simnet::ContentProfile::kNews);
-  isp->addDnsOverride("nulled.org", net::Ipv4Addr(10, 0, 99, 99));
+  poisonToward(world, *isp, "nulled.org", net::Ipv4Addr(10, 0, 99, 99));
 
   measure::Client client(world, *field, *lab);
   const auto result = client.testUrl("http://nulled.org/");
   EXPECT_EQ(result.verdict, measure::Verdict::kInconclusive);
-}
-
-TEST_F(OtherCensorshipFixture, DnsOverrideRemovable) {
-  const auto site =
-      hosting->createDomain("temporarily.org", simnet::ContentProfile::kNews);
-  isp->addDnsOverride("temporarily.org", net::Ipv4Addr(10, 0, 99, 99));
-  EXPECT_TRUE(isp->dnsOverride("temporarily.org"));
-  isp->removeDnsOverride("temporarily.org");
-  EXPECT_FALSE(isp->dnsOverride("temporarily.org"));
-
-  simnet::Transport transport(world);
-  EXPECT_EQ(
-      transport.fetchUrl(*field, "http://temporarily.org/").outcome,
-      simnet::FetchOutcome::kOk);
 }
 
 // ------------------------------------------------------ RepeatedTester ----
@@ -209,9 +205,10 @@ TEST_F(OtherCensorshipFixture, RepeatedTesterDetectsInconsistency) {
   // A firewall that drops only on even hours (deterministic flapping).
   struct FlappingFirewall : simnet::Middlebox {
     std::string name() const override { return "flapping"; }
-    std::optional<simnet::InterceptAction> intercept(
-        http::Request&, const simnet::InterceptContext& ctx) override {
-      if (ctx.now.hours() % 2 == 0) return simnet::InterceptAction::reset();
+    std::optional<simnet::Preempt> onRequest(
+        simnet::PathContext& ctx) override {
+      if (ctx.policy.now.hours() % 2 == 0)
+        return simnet::Preempt::reset(simnet::FailureCause::kMiddlebox);
       return std::nullopt;
     }
   };

@@ -155,7 +155,7 @@ TEST(PacketFilterTest, StatelessRstInjectorAlwaysKillsAfterRequest) {
       "injector", std::vector<std::string>{"keyword.example"},
       /*holdDownHours=*/0);
   pw.isp->attachPacketFilter(injector);
-  EXPECT_FALSE(injector.decisionHasSideEffects());
+  EXPECT_EQ(injector.cacheability(*pw.field), simnet::Cacheability::kShared);
 
   simnet::Transport transport(pw.world);
   for (int trial = 0; trial < 3; ++trial) {
@@ -179,7 +179,9 @@ TEST(PacketFilterTest, StatefulRstInjectorArmsResidualHoldDown) {
       "injector", std::vector<std::string>{"keyword.example"},
       /*holdDownHours=*/24);
   pw.isp->attachPacketFilter(injector);
-  EXPECT_TRUE(injector.decisionHasSideEffects());
+  // A kill arms hold-down state: a client may replay its own verdicts, but
+  // no other world may skip the fetch.
+  EXPECT_EQ(injector.cacheability(*pw.field), simnet::Cacheability::kLocal);
 
   simnet::Transport transport(pw.world);
   const auto epochBefore = pw.world.middleboxStateEpoch();

@@ -19,9 +19,8 @@ class BlockEverything : public Middlebox {
  public:
   std::string name() const override { return "block-everything"; }
 
-  std::optional<InterceptAction> intercept(http::Request&,
-                                           const InterceptContext&) override {
-    return InterceptAction::respond(
+  std::optional<Preempt> onRequest(PathContext&) override {
+    return Preempt::respond(
         http::Response::make(http::Status::kForbidden, "<h1>denied</h1>"));
   }
 };

@@ -61,18 +61,18 @@ TEST(PaperWorldTest, SaudiFilterIsSharedAcrossBothIsps) {
   PaperWorld paper;
   auto* bayanat = paper.world().findIsp("Bayanat Al-Oula");
   auto* nournet = paper.world().findIsp("Nournet");
-  ASSERT_EQ(bayanat->chain().size(), 1u);
-  ASSERT_EQ(nournet->chain().size(), 1u);
-  EXPECT_EQ(bayanat->chain()[0], nournet->chain()[0]);  // centralized (§4.3)
-  EXPECT_EQ(bayanat->chain()[0], &paper.saudiNationalSmartFilter());
+  ASSERT_EQ(bayanat->stages().size(), 1u);
+  ASSERT_EQ(nournet->stages().size(), 1u);
+  EXPECT_EQ(bayanat->stages()[0], nournet->stages()[0]);  // centralized (§4.3)
+  EXPECT_EQ(bayanat->stages()[0], &paper.saudiNationalSmartFilter());
 }
 
 TEST(PaperWorldTest, EtisalatRunsTandemProxy) {
   PaperWorld paper;
   EXPECT_TRUE(paper.etisalatProxySG().hasFilteringEngine());
   auto* etisalat = paper.world().findIsp("Etisalat");
-  ASSERT_EQ(etisalat->chain().size(), 1u);
-  EXPECT_EQ(etisalat->chain()[0], &paper.etisalatProxySG());
+  ASSERT_EQ(etisalat->stages().size(), 1u);
+  EXPECT_EQ(etisalat->stages()[0], &paper.etisalatProxySG());
 }
 
 TEST(PaperWorldTest, GlobalAndLocalListsPopulated) {

@@ -110,6 +110,24 @@ TEST(JsonTest, ParseRejectsMalformed) {
   EXPECT_FALSE(Json::parse("\"bad\\q\""));
 }
 
+TEST(JsonTest, ParseBoundsNestingDepth) {
+  const auto nested = [](int depth, char open, char close) {
+    return std::string(static_cast<std::size_t>(depth), open) +
+           std::string(static_cast<std::size_t>(depth), close);
+  };
+  // 128 levels parse; one more is refused rather than recursed into.
+  EXPECT_TRUE(Json::parse(nested(128, '[', ']')));
+  EXPECT_FALSE(Json::parse(nested(129, '[', ']')));
+  std::string objects;
+  for (int i = 0; i < 129; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(129, '}');
+  EXPECT_FALSE(Json::parse(objects));
+  EXPECT_TRUE(Json::parse(objects.substr(5, objects.size() - 6)));
+  // A megabyte of open brackets fails cleanly instead of overflowing the
+  // parsing thread's stack.
+  EXPECT_FALSE(Json::parse(std::string(1 << 20, '[')));
+}
+
 TEST(JsonTest, TypeErrorsThrow) {
   Json number = Json::number(1.0);
   EXPECT_THROW(number["k"], std::logic_error);

@@ -12,6 +12,8 @@
 #include "http/message.h"
 #include "report/json.h"
 #include "serve/admission.h"
+#include "serve/channel.h"
+#include "serve/loop.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 
@@ -200,6 +202,32 @@ TEST(ServeAdmissionTest, MalformedSessionsAre400NotShed) {
   // Malformed sessions still pass through admission (admit-then-parse keeps
   // the fast path lock-free of parsing), but they complete immediately.
   EXPECT_EQ(stats.admission.inFlight, 0u);
+}
+
+TEST(ServeAdmissionTest, DeeplyNestedBodyIs400OverTheLoop) {
+  // A megabyte of '[' once recursed the JSON parser off the end of the
+  // worker's stack and took the whole server down.
+  serve::CampaignServer server({.workers = 1});
+  serve::ServerLoop loop(server);
+  auto client = loop.connect();
+
+  http::Request request;
+  request.method = "POST";
+  request.url = *net::Url::parse("http://campaigns.sim/v1/session");
+  request.headers.set("Content-Type", "application/json");
+  request.body = std::string(1 << 20, '[');
+  const auto refused = client->roundTrip(request);
+  ASSERT_TRUE(refused.ok()) << refused.error();
+  EXPECT_EQ(refused.value().statusCode, 400);
+
+  // The server is still there for the next request on the same connection.
+  http::Request status;
+  status.method = "GET";
+  status.url = *net::Url::parse("http://campaigns.sim/v1/status");
+  const auto alive = client->roundTrip(status);
+  ASSERT_TRUE(alive.ok()) << alive.error();
+  EXPECT_EQ(alive.value().statusCode, 200);
+  loop.stop();
 }
 
 }  // namespace

@@ -20,21 +20,19 @@ class ScriptedBox : public Middlebox {
  public:
   std::string name() const override { return "scripted"; }
 
-  std::optional<InterceptAction> intercept(
-      http::Request& request, const InterceptContext&) override {
+  std::optional<Preempt> onRequest(PathContext& ctx) override {
     ++seen;
-    const auto& host = request.url.host();
+    const auto& host = ctx.request.url.host();
     if (host == "blocked.example")
-      return InterceptAction::respond(
+      return Preempt::respond(
           http::Response::make(http::Status::kForbidden, "<h1>denied</h1>"));
-    if (host == "reset.example") return InterceptAction::reset();
-    if (host == "dropped.example") return InterceptAction::drop();
-    request.headers.add("X-Annotated", "yes");
+    if (host == "reset.example") return Preempt::reset(FailureCause::kMiddlebox);
+    if (host == "dropped.example") return Preempt::drop(FailureCause::kMiddlebox);
+    ctx.request.headers.add("X-Annotated", "yes");
     return std::nullopt;
   }
 
-  void postProcess(const http::Request&, http::Response& response,
-                   const InterceptContext&) override {
+  void onResponse(PathContext&, http::Response& response) override {
     response.headers.add("Via", "1.1 scripted");
   }
 
