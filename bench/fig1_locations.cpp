@@ -21,8 +21,7 @@ int main() {
   const auto geo = world.buildGeoDatabase(paper.options().geoErrorRate);
   const auto whois = world.buildAsnDatabase();
 
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
 
   core::Identifier identifier(world, index,
                               fingerprint::Engine::withBuiltinSignatures(), geo,

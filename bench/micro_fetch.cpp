@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "filters/category_db.h"
-#include "filters/reference_category_store.h"
 #include "measure/blockpage.h"
 #include "measure/pattern_library.h"
+#include "oracles/reference_category_store.h"
 #include "report/json.h"
 #include "util/rng.h"
 
@@ -160,8 +160,8 @@ std::uint64_t hashMatches(
 /// reference side reproduces the old code shape — two std::set results
 /// merged into a third per probe; the fast side reuses one CategorySet.
 struct CategorizeWorkload {
-  filters::ReferenceCategoryStore referenceMaster;
-  filters::ReferenceCategoryStore referenceCustom;
+  oracles::ReferenceCategoryStore referenceMaster;
+  oracles::ReferenceCategoryStore referenceCustom;
   filters::CategoryDatabase flatMaster;
   filters::CategoryDatabase flatCustom;
   std::vector<net::Url> probes;

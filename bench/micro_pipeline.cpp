@@ -30,9 +30,8 @@ void BM_BannerCrawl(benchmark::State& state) {
   auto& paper = sharedPaper();
   const auto geo = paper.world().buildGeoDatabase();
   for (auto _ : state) {
-    scan::BannerIndex index;
-    index.crawl(paper.world(), geo);
-    benchmark::DoNotOptimize(index.size());
+    const auto index = scan::crawlStream(paper.world(), geo);
+    benchmark::DoNotOptimize(index.docCount());
   }
 }
 BENCHMARK(BM_BannerCrawl)->Unit(benchmark::kMicrosecond);
@@ -40,8 +39,7 @@ BENCHMARK(BM_BannerCrawl)->Unit(benchmark::kMicrosecond);
 void BM_BannerSearch(benchmark::State& state) {
   auto& paper = sharedPaper();
   const auto geo = paper.world().buildGeoDatabase();
-  scan::BannerIndex index;
-  index.crawl(paper.world(), geo);
+  const auto index = scan::crawlStream(paper.world(), geo);
   for (auto _ : state) {
     auto hits = index.search({"netsweeper", std::nullopt});
     benchmark::DoNotOptimize(hits);
@@ -104,8 +102,7 @@ void BM_IdentifyAll(benchmark::State& state) {
   auto& paper = sharedPaper();
   const auto geo = paper.world().buildGeoDatabase();
   const auto whois = paper.world().buildAsnDatabase();
-  scan::BannerIndex index;
-  index.crawl(paper.world(), geo);
+  const auto index = scan::crawlStream(paper.world(), geo);
   core::Identifier identifier(paper.world(), index,
                               fingerprint::Engine::withBuiltinSignatures(), geo,
                               whois);

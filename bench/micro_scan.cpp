@@ -1,8 +1,8 @@
-// Scan→identify hot-path benchmark: linear-reference vs indexed
-// BannerIndex::searchAll (the §3.1 keyword×country fan-out), serial vs
-// parallel crawl and Identifier::identifyAll on RandomWorld, and the
-// million-host streamed pipeline (crawlStream → ShardedBannerIndex) with
-// peak-RSS accounting against a documented budget.
+// Scan→identify hot-path benchmark: ShardedBannerIndex::searchAll (the §3.1
+// keyword×country fan-out) against the linear-scan oracle, serial vs
+// parallel crawlStream and Identifier::identifyAll on eager RandomWorlds,
+// and the million-host streamed pipeline (crawlStream over a host stream)
+// with peak-RSS accounting against a documented budget.
 // Emits BENCH_scan.json so later PRs have a perf trajectory.
 //
 // The streamed rows run FIRST: VmHWM is monotone, so their peak-RSS column
@@ -23,6 +23,7 @@
 #include "core/identifier.h"
 #include "core/serialize.h"
 #include "net/cctld.h"
+#include "oracles/linear_scan.h"
 #include "report/json.h"
 #include "scan/banner_index.h"
 #include "scan/serialize.h"
@@ -111,7 +112,7 @@ std::vector<scan::Query> fullFanOut() {
 }
 
 core::Identifier makeIdentifier(scenarios::RandomWorld& world,
-                                const scan::BannerIndex& index,
+                                const scan::ShardedBannerIndex& index,
                                 std::size_t threads) {
   core::IdentifierConfig config;
   config.threads = threads;
@@ -210,26 +211,20 @@ report::Json streamedReferenceCheck(std::uint64_t hosts) {
   stream->announceInto(eagerWorld);
   stream->materializeInto(eagerWorld);
   const auto geoEager = eagerWorld.buildGeoDatabase();
-  scan::BannerIndex reference;
-  reference.crawl(eagerWorld, geoEager);
+  const auto reference = scan::crawlStream(eagerWorld, geoEager);
+  const oracles::LinearBannerScan oracle(reference.residentRecords());
 
   std::vector<scan::BannerRecord> fetched;
   fetched.reserve(sharded.docCount());
   for (std::uint32_t doc = 0; doc < sharded.docCount(); ++doc)
     fetched.push_back(sharded.fetchRecord(doc));
   const bool recordsEqual =
-      sharded.docCount() == reference.size() &&
-      scan::exportRecords(fetched, 0) == scan::exportRecords(reference.records(), 0);
+      sharded.docCount() == oracle.size() &&
+      scan::exportRecords(fetched, 0) == scan::exportRecords(oracle.records(), 0);
 
   const auto queries = fullFanOut();
-  const auto shardedDocs = sharded.searchAll(queries);
-  const auto referenceHits = reference.searchAll(queries);
-  bool searchEqual = shardedDocs.size() == referenceHits.size();
-  for (std::size_t i = 0; searchEqual && i < shardedDocs.size(); ++i) {
-    const auto surface = sharded.surface(shardedDocs[i]);
-    searchEqual = surface.ip.value() == referenceHits[i]->ip.value() &&
-                  surface.port == referenceHits[i]->port;
-  }
+  const bool searchEqual =
+      sharded.searchAll(queries) == oracle.searchAll(queries);
 
   const core::Identifier viaStream(
       streamedWorld, sharded, fingerprint::Engine::withBuiltinSignatures(),
@@ -267,13 +262,14 @@ report::Json benchAtSize(int hosts, int reps) {
   out["hosts"] = report::Json::number(std::int64_t{hosts});
 
   // --- crawl: serial vs parallel (identical index either way) ------------
-  scan::BannerIndex index;
+  scan::StreamCrawlOptions serialOptions;
+  serialOptions.threadLimit = 1;
+  scan::ShardedBannerIndex index;
   const auto [crawlSerialMs, crawlParallelMs] = bestOfPaired(
       reps,
-      [&] { index.crawl(world.world(), geo, 2048, /*threadLimit=*/1); },
-      [&] { index.crawl(world.world(), geo, 2048, /*threadLimit=*/0); });
-  out["records"] = report::Json::number(
-      static_cast<std::int64_t>(index.size()));
+      [&] { index = scan::crawlStream(world.world(), geo, serialOptions); },
+      [&] { index = scan::crawlStream(world.world(), geo); });
+  out["records"] = report::Json::number(std::int64_t{index.docCount()});
   out["vocabulary"] = report::Json::number(
       static_cast<std::int64_t>(index.vocabularySize()));
   out["crawl_serial_ms"] = report::Json::number(crawlSerialMs);
@@ -281,18 +277,17 @@ report::Json benchAtSize(int hosts, int reps) {
   out["crawl_speedup"] =
       report::Json::number(crawlSerialMs / crawlParallelMs);
 
-  // --- searchAll: linear reference vs posting-list index -----------------
+  // --- searchAll: linear-scan oracle vs posting-list index ---------------
   const auto queries = fullFanOut();
   out["search_all_queries"] = report::Json::number(
       static_cast<std::int64_t>(queries.size()));
 
-  std::vector<const scan::BannerRecord*> referenceHits;
-  index.setSearchMode(scan::BannerIndex::SearchMode::kReference);
+  const oracles::LinearBannerScan oracle(index.residentRecords());
+  std::vector<std::uint32_t> referenceHits;
   const double searchReferenceMs =
-      bestOf(reps, [&] { referenceHits = index.searchAll(queries); });
+      bestOf(reps, [&] { referenceHits = oracle.searchAll(queries); });
 
-  std::vector<const scan::BannerRecord*> indexedHits;
-  index.setSearchMode(scan::BannerIndex::SearchMode::kIndexed);
+  std::vector<std::uint32_t> indexedHits;
   const double searchIndexedMs =
       bestOf(reps, [&] { indexedHits = index.searchAll(queries); });
 
@@ -326,7 +321,7 @@ report::Json benchAtSize(int hosts, int reps) {
   out["identify_results_identical"] = report::Json::boolean(
       core::toJson(serialRun).dump() == core::toJson(parallelRun).dump());
 
-  std::cerr << "hosts=" << hosts << " records=" << index.size()
+  std::cerr << "hosts=" << hosts << " records=" << index.docCount()
             << " crawl serial=" << crawlSerialMs << "ms parallel="
             << crawlParallelMs << "ms (" << crawlSerialMs / crawlParallelMs
             << "x)  searchAll ref=" << searchReferenceMs

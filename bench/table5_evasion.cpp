@@ -35,15 +35,14 @@ StageOutcomes evaluate(const urlf::scenarios::PaperWorldOptions& options,
 
   const auto geo = world.buildGeoDatabase(options.geoErrorRate);
   const auto whois = world.buildAsnDatabase();
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
   core::Identifier identifier(world, index,
                               fingerprint::Engine::withBuiltinSignatures(), geo,
                               whois);
 
   StageOutcomes outcomes;
   for (const auto product : filters::allProducts()) {
-    outcomes.candidates += identifier.locateCandidates(product).size();
+    outcomes.candidates += identifier.locateCandidateDocs(product).size();
     outcomes.validated += identifier.identify(product).size();
   }
 

@@ -20,9 +20,8 @@ int main() {
   const auto whois = world.buildAsnDatabase();
 
   std::printf("crawling externally visible surfaces...\n");
-  scan::BannerIndex index;
-  index.crawl(world, geo);
-  std::printf("  %zu banners indexed\n\n", index.size());
+  const auto index = scan::crawlStream(world, geo);
+  std::printf("  %zu banners indexed\n\n", index.docCount());
 
   const auto engine = fingerprint::Engine::withBuiltinSignatures();
   core::Identifier identifier(world, index, engine, geo, whois);
@@ -36,7 +35,7 @@ int main() {
       std::printf(" \"%s\"", keyword.c_str());
     std::printf("\n");
 
-    const auto candidates = identifier.locateCandidates(product);
+    const auto candidates = identifier.locateCandidateDocs(product);
     std::printf("step 1 (locate): %zu candidate banners\n", candidates.size());
 
     const auto installations = identifier.identify(product);
@@ -62,8 +61,8 @@ int main() {
 
     // Candidates that did NOT validate: the keyword bait.
     int rejected = 0;
-    for (const auto* candidate : candidates)
-      if (!validatedIps.contains(candidate->ip.value())) ++rejected;
+    for (const auto doc : candidates)
+      if (!validatedIps.contains(index.surface(doc).ip.value())) ++rejected;
     if (rejected > 0)
       std::printf("  (%d keyword candidate(s) rejected by validation)\n",
                   rejected);

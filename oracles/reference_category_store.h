@@ -1,5 +1,5 @@
-#ifndef URLF_FILTERS_REFERENCE_CATEGORY_STORE_H
-#define URLF_FILTERS_REFERENCE_CATEGORY_STORE_H
+#ifndef URLF_ORACLES_REFERENCE_CATEGORY_STORE_H
+#define URLF_ORACLES_REFERENCE_CATEGORY_STORE_H
 
 #include <limits>
 #include <map>
@@ -12,7 +12,7 @@
 #include "util/clock.h"
 #include "util/strings.h"
 
-namespace urlf::filters {
+namespace urlf::oracles {
 
 /// The original node-based CategoryDatabase implementation, preserved
 /// verbatim as the behavioral reference for the flat store.
@@ -21,12 +21,12 @@ namespace urlf::filters {
 /// flat maps; this class keeps the obviously-correct tree-based version so
 /// property tests can check flat ≡ reference on randomized worlds and the
 /// categorize benchmark can measure the speedup against a live baseline.
-/// Not used on any production path.
+/// Lives in the test-only oracles library: no production path uses it.
 class ReferenceCategoryStore {
  public:
   ReferenceCategoryStore() = default;
 
-  void addHost(std::string_view host, CategoryId category,
+  void addHost(std::string_view host, filters::CategoryId category,
                util::SimTime addedAt = util::SimTime{}) {
     auto& entry = byHost_[util::toLower(host)];
     const auto it = entry.find(category);
@@ -34,7 +34,7 @@ class ReferenceCategoryStore {
     if (it == entry.end() || addedAt < it->second) entry[category] = addedAt;
   }
 
-  void addUrl(const net::Url& url, CategoryId category,
+  void addUrl(const net::Url& url, filters::CategoryId category,
               util::SimTime addedAt = util::SimTime{}) {
     auto& entry = byUrl_[url.toString()];
     const auto it = entry.find(category);
@@ -45,13 +45,13 @@ class ReferenceCategoryStore {
     byHost_.erase(util::toLower(host));
   }
 
-  [[nodiscard]] std::set<CategoryId> categorize(const net::Url& url) const {
+  [[nodiscard]] std::set<filters::CategoryId> categorize(const net::Url& url) const {
     return categorizeAsOf(url, kNoCutoff);
   }
 
-  [[nodiscard]] std::set<CategoryId> categorizeAsOf(
+  [[nodiscard]] std::set<filters::CategoryId> categorizeAsOf(
       const net::Url& url, util::SimTime cutoff) const {
-    std::set<CategoryId> out;
+    std::set<filters::CategoryId> out;
 
     if (const auto it = byUrl_.find(url.toString()); it != byUrl_.end()) {
       const auto categories = categoriesOf(it->second, cutoff);
@@ -73,7 +73,7 @@ class ReferenceCategoryStore {
     return out;
   }
 
-  [[nodiscard]] std::set<CategoryId> hostCategories(
+  [[nodiscard]] std::set<filters::CategoryId> hostCategories(
       std::string_view host) const {
     const auto it = byHost_.find(util::toLower(host));
     if (it == byHost_.end()) return {};
@@ -89,14 +89,14 @@ class ReferenceCategoryStore {
   }
 
  private:
-  using Entry = std::map<CategoryId, util::SimTime>;
+  using Entry = std::map<filters::CategoryId, util::SimTime>;
 
   static constexpr util::SimTime kNoCutoff{
       std::numeric_limits<std::int64_t>::max()};
 
-  static std::set<CategoryId> categoriesOf(const Entry& entry,
+  static std::set<filters::CategoryId> categoriesOf(const Entry& entry,
                                            util::SimTime cutoff) {
-    std::set<CategoryId> out;
+    std::set<filters::CategoryId> out;
     for (const auto& [category, addedAt] : entry)
       if (addedAt <= cutoff) out.insert(category);
     return out;
@@ -106,6 +106,6 @@ class ReferenceCategoryStore {
   std::map<std::string, Entry, std::less<>> byUrl_;
 };
 
-}  // namespace urlf::filters
+}  // namespace urlf::oracles
 
-#endif  // URLF_FILTERS_REFERENCE_CATEGORY_STORE_H
+#endif  // URLF_ORACLES_REFERENCE_CATEGORY_STORE_H

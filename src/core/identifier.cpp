@@ -1,7 +1,6 @@
 #include "core/identifier.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "net/cctld.h"
@@ -11,22 +10,12 @@ namespace urlf::core {
 
 using filters::ProductKind;
 
-Identifier::Identifier(simnet::World& world, const scan::BannerIndex& index,
-                       fingerprint::Engine engine, geo::GeoDatabase geo,
-                       geo::AsnDatabase whois, IdentifierConfig config)
-    : world_(&world),
-      index_(&index),
-      engine_(std::move(engine)),
-      geo_(std::move(geo)),
-      whois_(std::move(whois)),
-      config_(config) {}
-
 Identifier::Identifier(simnet::World& world,
                        const scan::ShardedBannerIndex& index,
                        fingerprint::Engine engine, geo::GeoDatabase geo,
                        geo::AsnDatabase whois, IdentifierConfig config)
     : world_(&world),
-      sharded_(&index),
+      index_(&index),
       engine_(std::move(engine)),
       geo_(std::move(geo)),
       whois_(std::move(whois)),
@@ -59,38 +48,19 @@ std::vector<scan::Query> Identifier::productQueries(ProductKind product) const {
   return queries;
 }
 
-std::vector<const scan::BannerRecord*> Identifier::locateCandidates(
-    ProductKind product) const {
-  if (index_ == nullptr)
-    throw std::logic_error(
-        "locateCandidates: sharded source holds no records; use "
-        "locateCandidateDocs");
-  return index_->searchAll(productQueries(product));
-}
-
 std::vector<std::uint32_t> Identifier::locateCandidateDocs(
     ProductKind product) const {
-  if (sharded_ == nullptr)
-    throw std::logic_error(
-        "locateCandidateDocs: monolithic source; use locateCandidates");
-  return sharded_->searchAll(productQueries(product));
+  return index_->searchAll(productQueries(product));
 }
 
 std::vector<Identifier::Candidate> Identifier::locate(
     ProductKind product) const {
+  const auto docs = locateCandidateDocs(product);
   std::vector<Candidate> out;
-  if (index_ != nullptr) {
-    const auto records = index_->searchAll(productQueries(product));
-    out.reserve(records.size());
-    for (const auto* record : records)
-      out.push_back({record->ip, record->port, record, 0});
-  } else {
-    const auto docs = sharded_->searchAll(productQueries(product));
-    out.reserve(docs.size());
-    for (const auto doc : docs) {
-      const auto surface = sharded_->surface(doc);
-      out.push_back({surface.ip, surface.port, nullptr, doc});
-    }
+  out.reserve(docs.size());
+  for (const auto doc : docs) {
+    const auto surface = index_->surface(doc);
+    out.push_back({surface.ip, surface.port, doc});
   }
   return out;
 }
@@ -129,13 +99,11 @@ void Identifier::validateReference(const Candidate& candidate,
     out = engine_.probe(*world_, candidate.ip, candidate.port);
     return;
   }
-  const scan::BannerRecord* record = candidate.record;
-  scan::BannerRecord fetched;
-  if (record == nullptr) {
-    fetched = sharded_->fetchRecord(candidate.doc);
-    record = &fetched;
+  if (const auto* resident = index_->residentRecord(candidate.doc)) {
+    out = engine_.evaluate(toObservation(*resident));
+    return;
   }
-  out = engine_.evaluate(toObservation(*record));
+  out = engine_.evaluate(toObservation(index_->fetchRecord(candidate.doc)));
 }
 
 void Identifier::validateLean(const Candidate& candidate, ValidationMode mode,
@@ -145,10 +113,10 @@ void Identifier::validateLean(const Candidate& candidate, ValidationMode mode,
     engine_.probeInto(*world_, candidate.ip, candidate.port, scratch, out);
     return;
   }
-  if (candidate.record != nullptr) {
-    observationInto(*candidate.record, scratch.observation);
+  if (const auto* resident = index_->residentRecord(candidate.doc)) {
+    observationInto(*resident, scratch.observation);
   } else {
-    auto fetched = sharded_->fetchRecord(candidate.doc);
+    auto fetched = index_->fetchRecord(candidate.doc);
     scratch.observation.ip = fetched.ip;
     scratch.observation.port = fetched.port;
     scratch.observation.statusCode = fetched.statusCode;
@@ -181,23 +149,17 @@ Identifier::ValidationWave Identifier::validateWave(
   }
 
   // Fast path. Validation depends only on the candidate surface, never on
-  // the product whose keywords located it, so each distinct candidate
-  // (record pointer / doc id identity) is validated exactly once and its
-  // verdict shared across products. Jobs run in chunked waves; each chunk
-  // reuses one scratch observation, so steady-state validation allocates
-  // only for evidence on actual hits.
-  std::unordered_map<std::uint64_t, std::size_t> slotOf;
+  // the product whose keywords located it, so each distinct candidate doc
+  // is validated exactly once and its verdict shared across products. Jobs
+  // run in chunked waves; each chunk reuses one scratch observation, so
+  // steady-state validation allocates only for evidence on actual hits.
+  std::unordered_map<std::uint32_t, std::size_t> slotOf;
   std::vector<const Candidate*> distinct;
   for (std::size_t p = 0; p < perProduct.size(); ++p) {
     wave.slot[p].resize(perProduct[p].size());
     for (std::size_t i = 0; i < perProduct[p].size(); ++i) {
       const auto& candidate = perProduct[p][i];
-      const std::uint64_t key =
-          candidate.record != nullptr
-              ? static_cast<std::uint64_t>(
-                    reinterpret_cast<std::uintptr_t>(candidate.record))
-              : candidate.doc;
-      const auto [it, inserted] = slotOf.emplace(key, distinct.size());
+      const auto [it, inserted] = slotOf.emplace(candidate.doc, distinct.size());
       if (inserted) distinct.push_back(&candidate);
       wave.slot[p][i] = it->second;
     }

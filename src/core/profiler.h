@@ -39,7 +39,7 @@ struct NetworkProfile {
 /// Inputs the profiler needs beyond the world: scan index, geo/whois, and
 /// the per-product reference-site lists.
 struct ProfilerSources {
-  const scan::BannerIndex* index = nullptr;
+  const scan::ShardedBannerIndex* index = nullptr;
   geo::GeoDatabase geo;
   geo::AsnDatabase whois;
   std::map<filters::ProductKind, std::vector<ReferenceSite>> referenceSites;

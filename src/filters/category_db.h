@@ -32,8 +32,8 @@ namespace urlf::filters {
 /// allocation-free after warm-up (thread-local key scratch + caller-reused
 /// CategorySet) and are what Deployment::onRequest runs per request; the
 /// std::set-returning methods are thin adapters kept for existing callers.
-/// ReferenceCategoryStore preserves the original tree-based implementation
-/// for equivalence testing.
+/// oracles::ReferenceCategoryStore, in the test-only oracles library,
+/// preserves the original tree-based implementation for equivalence testing.
 class CategoryDatabase {
  public:
   CategoryDatabase() = default;

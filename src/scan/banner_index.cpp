@@ -1,9 +1,11 @@
 #include "scan/banner_index.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_map>
 
 #include "http/html.h"
 #include "simnet/world_stream.h"
@@ -83,278 +85,6 @@ std::string BannerRecord::searchableText() const {
   return text;
 }
 
-const std::string& BannerRecord::searchableTextLower() const {
-  if (!searchLowerReady_) {
-    searchLower_ = util::toLower(searchableText());
-    searchLowerReady_ = true;
-  }
-  return searchLower_;
-}
-
-void BannerRecord::primeSearchText(std::string& scratch) const {
-  if (searchLowerReady_) return;
-  scratch.clear();
-  appendSearchableText(scratch);
-  util::toLowerInto(scratch, searchLower_);
-  searchLowerReady_ = true;
-}
-
-void BannerIndex::crawl(simnet::World& world, const geo::GeoDatabase& geo,
-                        std::size_t bodySnippetLimit,
-                        std::size_t threadLimit) {
-  const auto surfaces = world.externalSurfaces();
-  const auto now = world.now();
-
-  records_.clear();
-  postings_.clear();
-  countryBuckets_.clear();
-  records_.resize(surfaces.size());
-
-  if (threadLimit == 1) {
-    // Reference serial crawl: one probe at a time, copying response storage.
-    for (std::size_t i = 0; i < surfaces.size(); ++i) {
-      const auto& surface = surfaces[i];
-      records_[i] = probeEndpoint(*surface.endpoint, surface.ip, surface.port,
-                                  geo, now, bodySnippetLimit);
-      records_[i].primeSearchText();
-    }
-  } else {
-    // Fast path: chunked dispatch over the surfaces. Each chunk moves
-    // response storage into its slot and primes the lowered-text cache
-    // through one reused staging buffer. Every probe writes only its own
-    // slot, so the records land in binding order — byte-identical to the
-    // serial crawl.
-    util::parallelForChunks(
-        surfaces.size(),
-        [&](std::size_t begin, std::size_t end) {
-          std::string scratch;
-          for (std::size_t i = begin; i < end; ++i) {
-            const auto& surface = surfaces[i];
-            probeEndpointInto(*surface.endpoint, surface.ip, surface.port, geo,
-                              now, bodySnippetLimit, records_[i]);
-            records_[i].primeSearchText(scratch);
-          }
-        },
-        threadLimit, 64);
-  }
-
-  if (threadLimit == 1)
-    indexRange(0);
-  else
-    indexRangeLean(0);
-}
-
-BannerIndex BannerIndex::fromRecords(std::vector<BannerRecord> records) {
-  BannerIndex index;
-  index.addRecords(std::move(records));
-  return index;
-}
-
-void BannerIndex::addRecords(std::vector<BannerRecord> records) {
-  const std::size_t begin = records_.size();
-  records_.insert(records_.end(), std::make_move_iterator(records.begin()),
-                  std::make_move_iterator(records.end()));
-  util::parallelForChunks(records_.size() - begin,
-                          [&](std::size_t lo, std::size_t hi) {
-                            std::string scratch;
-                            for (std::size_t i = lo; i < hi; ++i)
-                              records_[begin + i].primeSearchText(scratch);
-                          });
-  indexRangeLean(begin);
-}
-
-void BannerIndex::indexRange(std::size_t begin) {
-  // Ids are appended in ascending order, so every posting list and country
-  // bucket stays sorted and unique without a final sort pass. The token
-  // scratch and the transparent map lookups keep the loop from allocating
-  // per (record, token).
-  std::vector<std::string_view> tokens;
-  for (std::size_t id = begin; id < records_.size(); ++id) {
-    const auto& record = records_[id];
-    tokens.clear();
-    tokenizeAlnum(record.searchableTextLower(), tokens);
-    std::sort(tokens.begin(), tokens.end());
-    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-    for (const auto token : tokens) {
-      auto it = postings_.find(token);
-      if (it == postings_.end())
-        it = postings_.emplace(std::string(token), std::vector<std::uint32_t>{})
-                 .first;
-      it->second.push_back(static_cast<std::uint32_t>(id));
-    }
-    countryBuckets_[util::toUpper(record.countryAlpha2)].push_back(
-        static_cast<std::uint32_t>(id));
-  }
-}
-
-void BannerIndex::indexRangeLean(std::size_t begin) {
-  // Same output as indexRange, without the per-record sort+unique: ids only
-  // ever append in ascending order, so a repeated token inside one record is
-  // exactly the case where its list already ends in this id. The occasional
-  // extra map probe for a repeated token costs less than sorting every
-  // record's token views.
-  std::vector<std::string_view> tokens;
-  for (std::size_t id = begin; id < records_.size(); ++id) {
-    const auto& record = records_[id];
-    const auto doc = static_cast<std::uint32_t>(id);
-    tokens.clear();
-    tokenizeAlnum(record.searchableTextLower(), tokens);
-    for (const auto token : tokens) {
-      auto it = postings_.find(token);
-      if (it == postings_.end())
-        it = postings_.emplace(std::string(token), std::vector<std::uint32_t>{})
-                 .first;
-      auto& ids = it->second;
-      if (ids.empty() || ids.back() != doc) ids.push_back(doc);
-    }
-    countryBuckets_[util::toUpper(record.countryAlpha2)].push_back(doc);
-  }
-}
-
-std::vector<std::uint32_t> BannerIndex::keywordCandidates(
-    const std::string& loweredKeyword) const {
-  std::vector<std::string_view> keywordTokens;
-  tokenizeAlnum(loweredKeyword, keywordTokens);
-
-  std::vector<std::uint32_t> candidates;
-  if (keywordTokens.empty()) {
-    // No alphanumeric core (e.g. "=", whitespace, empty): substring-scan the
-    // cached lowered text. An empty keyword matches every record, as the
-    // reference `icontains` does.
-    for (std::size_t id = 0; id < records_.size(); ++id) {
-      if (records_[id].searchableTextLower().find(loweredKeyword) !=
-          std::string::npos)
-        candidates.push_back(static_cast<std::uint32_t>(id));
-    }
-    return candidates;
-  }
-
-  // Pre-filter on the keyword's longest token: any banner containing the
-  // keyword must contain that token inside one of its own tokens, so the
-  // union of posting lists over vocabulary tokens containing it is a
-  // superset of the exact match set.
-  const std::string_view longest = *std::max_element(
-      keywordTokens.begin(), keywordTokens.end(),
-      [](std::string_view a, std::string_view b) { return a.size() < b.size(); });
-  for (const auto& [token, ids] : postings_) {
-    if (token.find(longest) == std::string::npos) continue;
-    candidates.insert(candidates.end(), ids.begin(), ids.end());
-  }
-  mergeSortedUnique(candidates);
-
-  // A keyword that *is* its longest token (no separators) is exact already;
-  // anything else ("cfru=", "mcafee web gateway", "8080/webadmin/") is
-  // verified against the cached lowered text.
-  if (loweredKeyword == longest) return candidates;
-  std::vector<std::uint32_t> verified;
-  verified.reserve(candidates.size());
-  for (const auto id : candidates) {
-    if (records_[id].searchableTextLower().find(loweredKeyword) !=
-        std::string::npos)
-      verified.push_back(id);
-  }
-  return verified;
-}
-
-std::vector<const BannerRecord*> BannerIndex::searchIndexed(
-    const Query& query) const {
-  std::vector<std::uint32_t> ids = keywordCandidates(util::toLower(query.keyword));
-  if (query.countryAlpha2) {
-    const auto bucket = countryBuckets_.find(util::toUpper(*query.countryAlpha2));
-    if (bucket == countryBuckets_.end()) return {};
-    ids = intersectSorted(ids, bucket->second);
-  }
-  std::vector<const BannerRecord*> out;
-  out.reserve(ids.size());
-  for (const auto id : ids) out.push_back(&records_[id]);
-  return out;
-}
-
-std::vector<const BannerRecord*> BannerIndex::searchReference(
-    const Query& query) const {
-  const std::string loweredKeyword = util::toLower(query.keyword);
-  std::vector<const BannerRecord*> out;
-  for (const auto& record : records_) {
-    if (query.countryAlpha2 &&
-        !util::iequals(record.countryAlpha2, *query.countryAlpha2))
-      continue;
-    if (record.searchableTextLower().find(loweredKeyword) == std::string::npos)
-      continue;
-    out.push_back(&record);
-  }
-  return out;
-}
-
-std::vector<const BannerRecord*> BannerIndex::search(const Query& query) const {
-  return mode_ == SearchMode::kIndexed ? searchIndexed(query)
-                                       : searchReference(query);
-}
-
-std::vector<const BannerRecord*> BannerIndex::searchAll(
-    const std::vector<Query>& queries) const {
-  std::vector<std::vector<const BannerRecord*>> perQuery(queries.size());
-
-  if (mode_ == SearchMode::kIndexed) {
-    // The §3.1 fan-out repeats the same few keywords across every country
-    // facet; resolve each distinct keyword once, in parallel, then apply
-    // the country restriction per query.
-    std::vector<std::string> keywords;
-    std::unordered_map<std::string, std::size_t> keywordSlot;
-    std::vector<std::size_t> querySlot(queries.size());
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const std::string lowered = util::toLower(queries[q].keyword);
-      const auto [it, inserted] = keywordSlot.emplace(lowered, keywords.size());
-      if (inserted) keywords.push_back(lowered);
-      querySlot[q] = it->second;
-    }
-
-    std::vector<std::vector<std::uint32_t>> perKeyword(keywords.size());
-    util::parallelFor(keywords.size(), [&](std::size_t k) {
-      perKeyword[k] = keywordCandidates(keywords[k]);
-    });
-
-    // Partition each keyword's candidates by record country in one pass.
-    // The fan-out asks for the same keyword under every country facet, so
-    // answering those from the partition replaces one sorted intersection
-    // per (keyword, country) pair with a single walk per keyword; each
-    // partition bucket is ascending because the candidate list is.
-    std::vector<std::unordered_map<std::string, std::vector<std::uint32_t>>>
-        byCountry(keywords.size());
-    for (std::size_t k = 0; k < keywords.size(); ++k)
-      for (const auto id : perKeyword[k])
-        byCountry[k][util::toUpper(records_[id].countryAlpha2)].push_back(id);
-
-    static const std::vector<std::uint32_t> kNoIds;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const std::vector<std::uint32_t>* ids = &perKeyword[querySlot[q]];
-      if (queries[q].countryAlpha2) {
-        const auto& partition = byCountry[querySlot[q]];
-        const auto bucket =
-            partition.find(util::toUpper(*queries[q].countryAlpha2));
-        ids = bucket == partition.end() ? &kNoIds : &bucket->second;
-      }
-      perQuery[q].reserve(ids->size());
-      for (const auto id : *ids) perQuery[q].push_back(&records_[id]);
-    }
-  } else {
-    for (std::size_t q = 0; q < queries.size(); ++q)
-      perQuery[q] = searchReference(queries[q]);
-  }
-
-  // Sequential merge in query order keeps the output identical across
-  // modes and thread counts.
-  std::vector<const BannerRecord*> out;
-  std::set<std::uint64_t> seen;
-  for (const auto& hits : perQuery) {
-    for (const auto* record : hits) {
-      const std::uint64_t key =
-          (std::uint64_t{record->ip.value()} << 16) | record->port;
-      if (seen.insert(key).second) out.push_back(record);
-    }
-  }
-  return out;
-}
-
 // --- ShardedBannerIndex -----------------------------------------------------
 
 void ShardedBannerIndex::beginShard(std::string label) {
@@ -381,48 +111,32 @@ void ShardedBannerIndex::endShard() {
   openShard_.reset();
 }
 
-ShardedBannerIndex ShardedBannerIndex::fromIndex(const BannerIndex& index,
-                                                 std::size_t shardTargetDocs) {
-  if (shardTargetDocs == 0) shardTargetDocs = 1;
-  ShardedBannerIndex out;
-  const auto& records = index.records();
-  for (std::size_t begin = 0; begin < records.size();
-       begin += shardTargetDocs) {
-    const std::size_t end = std::min(records.size(), begin + shardTargetDocs);
-    out.beginShard("mono#" + std::to_string(begin / shardTargetDocs));
-    for (std::size_t i = begin; i < end; ++i) out.addRecord(records[i]);
-    out.endShard();
-  }
-  if (records.empty()) {
-    out.beginShard("mono#0");
-    out.endShard();
-  }
-  out.setRecordFetcher(
-      [&index](std::uint32_t doc) { return index.records()[doc]; });
-  return out;
+void ShardedBannerIndex::addResidentRecord(BannerRecord record) {
+  if (residentRecords_.size() != ips_.size())
+    throw std::logic_error("addResidentRecord: after a non-resident record");
+  addRecord(record);
+  residentLowered_.push_back(loweredScratch_);
+  residentRecords_.push_back(std::move(record));
 }
 
 ShardedBannerIndex ShardedBannerIndex::fromRecords(
     std::vector<BannerRecord> records, std::size_t shardTargetDocs) {
   if (shardTargetDocs == 0) shardTargetDocs = 1;
-  auto retained = std::make_shared<const std::vector<BannerRecord>>(
-      std::move(records));
   ShardedBannerIndex out;
-  const auto& source = *retained;
-  for (std::size_t begin = 0; begin < source.size();
+  out.residentRecords_.reserve(records.size());
+  out.residentLowered_.reserve(records.size());
+  for (std::size_t begin = 0; begin < records.size();
        begin += shardTargetDocs) {
-    const std::size_t end = std::min(source.size(), begin + shardTargetDocs);
+    const std::size_t end = std::min(records.size(), begin + shardTargetDocs);
     out.beginShard("records#" + std::to_string(begin / shardTargetDocs));
-    for (std::size_t i = begin; i < end; ++i) out.addRecord(source[i]);
+    for (std::size_t i = begin; i < end; ++i)
+      out.addResidentRecord(std::move(records[i]));
     out.endShard();
   }
-  if (source.empty()) {
+  if (records.empty()) {
     out.beginShard("records#0");
     out.endShard();
   }
-  out.retained_ = retained;
-  out.setRecordFetcher(
-      [retained](std::uint32_t doc) { return (*retained)[doc]; });
   return out;
 }
 
@@ -454,11 +168,23 @@ ShardedBannerIndex ShardedBannerIndex::fromParts(
 }
 
 BannerRecord ShardedBannerIndex::fetchRecord(std::uint32_t doc) const {
+  if (const auto* resident = residentRecord(doc)) return *resident;
   if (!fetcher_)
     throw std::logic_error(
         "ShardedBannerIndex: record fetch required but no fetcher attached "
         "(separator/no-token keywords and passive identification need one)");
   return fetcher_(doc);
+}
+
+bool ShardedBannerIndex::docContains(std::uint32_t doc,
+                                     std::string_view loweredKeyword,
+                                     std::string& scratch) const {
+  if (doc < residentLowered_.size())
+    return residentLowered_[doc].find(loweredKeyword) != std::string::npos;
+  scratch.clear();
+  fetchRecord(doc).appendSearchableText(scratch);
+  util::toLowerInto(scratch, scratch);  // same size: lowers in place
+  return scratch.find(loweredKeyword) != std::string::npos;
 }
 
 std::vector<std::uint32_t> ShardedBannerIndex::decodeCountryBucket(
@@ -475,35 +201,37 @@ std::vector<std::uint32_t> ShardedBannerIndex::keywordCandidates(
   tokenizeAlnum(loweredKeyword, keywordTokens);
 
   std::vector<std::uint32_t> candidates;
+  std::string scratch;
   if (keywordTokens.empty()) {
-    // No alphanumeric core: the banners are not resident, so re-materialize
-    // every document through the fetcher — the correctness path, not the
-    // fast path (product keywords always have tokens).
+    // No alphanumeric core (e.g. "=", whitespace, empty): scan every banner
+    // — the correctness path, not the fast path (product keywords always
+    // have tokens). An empty keyword matches every banner.
     const auto docs = docCount();
-    for (std::uint32_t doc = 0; doc < docs; ++doc) {
-      if (fetchRecord(doc).searchableTextLower().find(loweredKeyword) !=
-          std::string::npos)
-        candidates.push_back(doc);
-    }
+    for (std::uint32_t doc = 0; doc < docs; ++doc)
+      if (docContains(doc, loweredKeyword, scratch)) candidates.push_back(doc);
     return candidates;
   }
 
+  // Pre-filter on the keyword's longest token: any banner containing the
+  // keyword must contain that token inside one of its own tokens, so the
+  // union of posting lists over vocabulary tokens containing it is a
+  // superset of the exact match set.
   const std::string_view longest = *std::max_element(
       keywordTokens.begin(), keywordTokens.end(),
       [](std::string_view a, std::string_view b) { return a.size() < b.size(); });
   // Shard vocabularies are disjointly scanned; the union across shards is
-  // exactly the monolithic vocabulary pre-filter.
+  // exactly the whole-corpus vocabulary pre-filter.
   for (const auto& shard : shards_) shard.appendCandidates(longest, candidates);
   mergeSortedUnique(candidates);
 
+  // A keyword that *is* its longest token (no separators) is exact already;
+  // anything else ("cfru=", "mcafee web gateway", "8080/webadmin/") is
+  // verified against the banner text.
   if (loweredKeyword == longest) return candidates;
   std::vector<std::uint32_t> verified;
   verified.reserve(candidates.size());
-  for (const auto doc : candidates) {
-    if (fetchRecord(doc).searchableTextLower().find(loweredKeyword) !=
-        std::string::npos)
-      verified.push_back(doc);
-  }
+  for (const auto doc : candidates)
+    if (docContains(doc, loweredKeyword, scratch)) verified.push_back(doc);
   return verified;
 }
 
@@ -535,27 +263,52 @@ std::vector<std::uint32_t> ShardedBannerIndex::searchAll(
     perKeyword[k] = keywordCandidates(keywords[k]);
   });
 
-  // Decode each referenced country bucket once per searchAll, not once per
-  // (keyword, country) combination.
-  std::map<std::string, std::vector<std::uint32_t>> decoded;
-  for (const auto& query : queries) {
-    if (!query.countryAlpha2) continue;
-    auto key = util::toUpper(*query.countryAlpha2);
-    if (!decoded.contains(key))
-      decoded.emplace(std::move(key), decodeCountryBucket(
-                                          util::toUpper(*query.countryAlpha2)));
+  // Country facets: give each referenced country that has docs a slot and
+  // mark its docs, decoding each bucket once per searchAll. A facet naming
+  // a country without docs matches nothing.
+  constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+  std::map<std::string, std::uint32_t> countrySlot;
+  std::vector<std::size_t> queryCountry(queries.size(), kNoSlot);
+  std::vector<std::uint32_t> countryOf;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    if (!queries[q].countryAlpha2) continue;
+    auto key = util::toUpper(*queries[q].countryAlpha2);
+    const auto bucket = countryBuckets_.find(key);
+    if (bucket == countryBuckets_.end()) continue;
+    const auto [it, inserted] = countrySlot.emplace(
+        std::move(key), static_cast<std::uint32_t>(countrySlot.size()));
+    queryCountry[q] = it->second;
+    if (!inserted) continue;
+    if (countryOf.empty())
+      countryOf.assign(docCount(), std::numeric_limits<std::uint32_t>::max());
+    std::vector<std::uint32_t> ids;
+    bucket->second.decodeInto(ids);
+    for (const auto doc : ids) countryOf[doc] = it->second;
   }
 
+  // Split each keyword's candidates by country slot in one walk, replacing
+  // one sorted intersection per (keyword, country) pair; each part stays
+  // ascending because the candidate list is.
+  std::vector<std::vector<std::vector<std::uint32_t>>> byCountry(
+      keywords.size());
+  if (!countrySlot.empty()) {
+    for (std::size_t k = 0; k < keywords.size(); ++k) {
+      byCountry[k].resize(countrySlot.size());
+      for (const auto doc : perKeyword[k])
+        if (countryOf[doc] < countrySlot.size())
+          byCountry[k][countryOf[doc]].push_back(doc);
+    }
+  }
+
+  static const std::vector<std::uint32_t> kNoIds;
   std::vector<std::uint32_t> out;
   std::set<std::uint64_t> seen;
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const std::vector<std::uint32_t>* ids = &perKeyword[querySlot[q]];
-    std::vector<std::uint32_t> restricted;
-    if (queries[q].countryAlpha2) {
-      restricted =
-          intersectSorted(*ids, decoded.at(util::toUpper(*queries[q].countryAlpha2)));
-      ids = &restricted;
-    }
+    if (queries[q].countryAlpha2)
+      ids = queryCountry[q] == kNoSlot
+                ? &kNoIds
+                : &byCountry[querySlot[q]][queryCountry[q]];
     for (const auto doc : *ids) {
       const auto s = surface(doc);
       const std::uint64_t key = (std::uint64_t{s.ip.value()} << 16) | s.port;
@@ -590,7 +343,7 @@ std::size_t ShardedBannerIndex::memoryBytes() const {
 ShardedBannerIndex crawlStream(simnet::World& world,
                                const geo::GeoDatabase& geo,
                                StreamCrawlOptions options) {
-  auto surfaces = world.externalSurfaces();
+  const auto surfaces = world.externalSurfaces();
   const auto now = world.now();
   const auto* stream = world.hostStream();
   const auto eagerCount = static_cast<std::uint32_t>(surfaces.size());
@@ -612,7 +365,8 @@ ShardedBannerIndex crawlStream(simnet::World& world,
   };
 
   // Eagerly bound surfaces lead, in binding order, so doc ids line up with
-  // BannerIndex::crawl over the fully materialized reference world.
+  // the eagerly materialized reference world. Their records stay resident:
+  // queries read the crawl-time banners in place.
   {
     std::vector<BannerRecord> batch(surfaces.size());
     probeBatch(surfaces.size(), [&](std::size_t i) {
@@ -621,43 +375,34 @@ ShardedBannerIndex crawlStream(simnet::World& world,
                         options.bodySnippetLimit, batch[i]);
     });
     index.beginShard("eager/bindings");
+    for (auto& record : batch) index.addResidentRecord(std::move(record));
+    index.endShard();
+  }
+  if (stream == nullptr) return index;
+
+  // Stream shards: materialize, probe, index, discard — peak memory is one
+  // shard's worth of banners, never the whole world.
+  const auto hostsPerShard =
+      options.hostsPerShard == 0 ? std::uint64_t{8192} : options.hostsPerShard;
+  std::vector<BannerRecord> batch;
+  for (const auto& shard : stream->shards(hostsPerShard)) {
+    const auto count = static_cast<std::size_t>(shard.end - shard.begin);
+    batch.resize(count);
+    probeBatch(count, [&](std::size_t i) {
+      const auto host = stream->host(shard.begin + i);
+      const auto server = simnet::WorldStream::materializeEndpoint(host);
+      probeEndpointInto(*server, host.ip, host.port, geo, now,
+                        options.bodySnippetLimit, batch[i]);
+    });
+    index.beginShard(shard.label);
     for (const auto& record : batch) index.addRecord(record);
     index.endShard();
   }
 
-  // Stream shards: materialize, probe, index, discard — peak memory is one
-  // shard's worth of banners, never the whole world.
-  if (stream != nullptr) {
-    const auto hostsPerShard =
-        options.hostsPerShard == 0 ? std::uint64_t{8192} : options.hostsPerShard;
-    std::vector<BannerRecord> batch;
-    for (const auto& shard : stream->shards(hostsPerShard)) {
-      const auto count = static_cast<std::size_t>(shard.end - shard.begin);
-      batch.clear();
-      batch.resize(count);  // fresh records: no stale lowered-text caches
-      probeBatch(count, [&](std::size_t i) {
-        const auto host = stream->host(shard.begin + i);
-        const auto server = simnet::WorldStream::materializeEndpoint(host);
-        probeEndpointInto(*server, host.ip, host.port, geo, now,
-                          options.bodySnippetLimit, batch[i]);
-      });
-      index.beginShard(shard.label);
-      for (const auto& record : batch) index.addRecord(record);
-      index.endShard();
-    }
-  }
-
-  // The fetcher re-probes on demand: eager docs through their bound
-  // endpoints, streamed docs by re-materializing the pure host function —
+  // The fetcher re-materializes streamed docs from the pure host function —
   // byte-identical to what the crawl indexed.
-  index.setRecordFetcher([&world, &geo, surfaces = std::move(surfaces), now,
-                          limit = options.bodySnippetLimit,
+  index.setRecordFetcher([&world, &geo, now, limit = options.bodySnippetLimit,
                           eagerCount](std::uint32_t doc) {
-    if (doc < eagerCount) {
-      const auto& surface = surfaces[doc];
-      return probeEndpoint(*surface.endpoint, surface.ip, surface.port, geo,
-                           now, limit);
-    }
     const auto* attached = world.hostStream();
     if (attached == nullptr)
       throw std::logic_error("crawlStream fetcher: host stream detached");

@@ -7,7 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "geo/geodb.h"
@@ -35,25 +35,8 @@ struct BannerRecord {
   /// The searchable text: status line + raw headers + title + body.
   [[nodiscard]] std::string searchableText() const;
 
-  /// Lowercased searchable text, built once and cached so queries never
-  /// re-materialize the banner. BannerIndex primes every record at insert
-  /// time; prime before sharing a record across threads (the lazy fill is
-  /// not synchronized). Treat records as immutable once primed.
-  [[nodiscard]] const std::string& searchableTextLower() const;
-
-  /// Build the lowered-text cache now (idempotent).
-  void primeSearchText() const { (void)searchableTextLower(); }
-
-  /// primeSearchText through a caller-owned scratch buffer, so bulk crawls
-  /// reuse one staging allocation per worker instead of one per record.
-  void primeSearchText(std::string& scratch) const;
-
   /// Append the searchable text to `out` without clearing it.
   void appendSearchableText(std::string& out) const;
-
- private:
-  mutable std::string searchLower_;
-  mutable bool searchLowerReady_ = false;
 };
 
 /// A Shodan-style query: a keyword plus an optional country facet. The
@@ -64,125 +47,38 @@ struct Query {
   std::optional<std::string> countryAlpha2;
 };
 
-/// The banner search engine (the Shodan stand-in [27]).
+/// The banner search engine (the Shodan stand-in [27]): country/prefix
+/// shards of compressed posting lists over an interned vocabulary
+/// (scan::PostingShard), plus per-document (ip, port) tables and
+/// delta-coded country buckets. `search` does case-insensitive keyword
+/// matching over the banner text.
 ///
-/// `crawl` probes every externally visible surface in the world — the same
-/// epistemic position as a real Internet-wide scanner: it can only see what
-/// is publicly reachable. `search` does case-insensitive keyword matching
-/// over the stored banner text.
+/// Documents are identified by dense uint32 doc ids in insertion order. A
+/// keyword that is a single alphanumeric token resolves through the posting
+/// lists (the vocabulary is scanned for tokens containing it, so matches
+/// inside longer tokens are kept); a keyword with separators ("cfru=",
+/// "8080/webadmin/") uses its longest token as a pre-filter and is verified
+/// against the banner text; a keyword with no token at all scans every
+/// banner.
 ///
-/// Two execution modes answer every query with identical results:
-///  - `kIndexed` (default): per-country buckets plus a token posting-list
-///    index (lowercased token -> sorted record ids). A keyword that is a
-///    single alphanumeric token resolves through the posting lists (the
-///    vocabulary is scanned for tokens containing the keyword, so matches
-///    inside longer tokens are kept); keywords with separators use their
-///    longest token as a pre-filter and are verified against the cached
-///    lowered text; keywords with no tokens at all fall back to a substring
-///    scan of the (bucketed) cached text.
-///  - `kReference`: the original linear scan, retained for equivalence
-///    testing and benchmarking (it still reuses the cached lowered text
-///    instead of rebuilding each banner per probe).
-class BannerIndex {
- public:
-  enum class SearchMode { kIndexed, kReference };
-
-  BannerIndex() = default;
-
-  /// Probe all externally visible surfaces; `geo` supplies the crawler's
-  /// country metadata. Body snippets are capped at `bodySnippetLimit`.
-  /// Surfaces are probed concurrently on the shared thread pool; results
-  /// land in binding order, so the index is byte-identical to a serial
-  /// crawl. External-surface handlers must therefore be thread-safe for the
-  /// crawler's anonymous `GET /` (all in-tree handlers are pure functions
-  /// of the request). `threadLimit == 1` forces the serial crawl.
-  void crawl(simnet::World& world, const geo::GeoDatabase& geo,
-             std::size_t bodySnippetLimit = 2048, std::size_t threadLimit = 0);
-
-  /// Build an index from pre-collected records (e.g. a CensusScanner sweep,
-  /// the larger-scale data source §3.1 mentions as ongoing work).
-  static BannerIndex fromRecords(std::vector<BannerRecord> records);
-
-  /// Append records to the index (merging multiple scan sources).
-  void addRecords(std::vector<BannerRecord> records);
-
-  void setSearchMode(SearchMode mode) { mode_ = mode; }
-  [[nodiscard]] SearchMode searchMode() const { return mode_; }
-
-  /// All records matching the query, in index order.
-  [[nodiscard]] std::vector<const BannerRecord*> search(const Query& query) const;
-
-  /// Union of results across many queries, de-duplicated by (ip, port),
-  /// ordered by first match (query order, then index order). In indexed
-  /// mode the per-keyword candidate sets are computed once per distinct
-  /// keyword — not once per (keyword, country) combination — and in
-  /// parallel on the shared pool; the merge is sequential in query order,
-  /// so results are identical across modes and thread counts.
-  [[nodiscard]] std::vector<const BannerRecord*> searchAll(
-      const std::vector<Query>& queries) const;
-
-  [[nodiscard]] const std::vector<BannerRecord>& records() const {
-    return records_;
-  }
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-
-  /// Distinct lowercased tokens in the posting-list index (diagnostics).
-  [[nodiscard]] std::size_t vocabularySize() const { return postings_.size(); }
-
- private:
-  /// Ids of records whose banner contains `loweredKeyword`, ascending. Uses
-  /// the posting lists when the keyword has at least one alphanumeric token,
-  /// otherwise scans the cached lowered text.
-  [[nodiscard]] std::vector<std::uint32_t> keywordCandidates(
-      const std::string& loweredKeyword) const;
-
-  [[nodiscard]] std::vector<const BannerRecord*> searchIndexed(
-      const Query& query) const;
-  [[nodiscard]] std::vector<const BannerRecord*> searchReference(
-      const Query& query) const;
-
-  /// Tokenize + bucket records_[begin..end) into the index structures —
-  /// reference form: sort + unique the token scratch per record, then append
-  /// each distinct token's id.
-  void indexRange(std::size_t begin);
-  /// indexRange without the per-record sort: ids append in ascending order,
-  /// so a posting list already ending in the current id marks a repeated
-  /// token. Identical postings, measurably cheaper; the fast crawl path and
-  /// bulk addRecords use this form.
-  void indexRangeLean(std::size_t begin);
-
-  SearchMode mode_ = SearchMode::kIndexed;
-  std::vector<BannerRecord> records_;
-  /// lowercased token -> record ids (ascending, unique). Transparent hashing
-  /// keeps the indexing loop from allocating a key string per (doc, token).
-  std::unordered_map<std::string, std::vector<std::uint32_t>, TokenHash,
-                     std::equal_to<>>
-      postings_;
-  /// UPPERCASED alpha2 -> record ids (ascending, unique).
-  std::unordered_map<std::string, std::vector<std::uint32_t>> countryBuckets_;
-};
-
-/// The million-host banner index: country/prefix shards of compressed
-/// posting lists over an interned vocabulary (scan::PostingShard), plus
-/// per-document (ip, port) tables and delta-coded country buckets.
+/// Where that banner text comes from depends on the document:
+///  - resident docs (fromRecords, and the eagerly bound surfaces of
+///    crawlStream) keep their record and its lowered text, computed once
+///    at build time, and are read in place;
+///  - streamed docs are not stored; they are re-materialized through the
+///    attached RecordFetcher — for a streamed crawl a deterministic re-probe
+///    of the pure host function, so fetched records are byte-identical to
+///    what the crawl saw.
 ///
-/// Documents are identified by dense uint32 doc ids in insertion order; the
-/// banners themselves are NOT stored. Queries that must look at full banner
-/// text (separator keywords, keywords with no alphanumeric token, passive
-/// identification) re-materialize records through the attached
-/// RecordFetcher — for a streamed crawl that is a deterministic re-probe of
-/// the pure host function, so fetched records are byte-identical to what the
-/// crawl saw.
-///
-/// Search semantics mirror BannerIndex::searchIndexed exactly (the property
-/// tests enforce sharded ≡ monolithic ≡ reference); shards are built one at
-/// a time so peak build memory is O(shard), and cross-shard results merge by
-/// concatenation because shard doc ranges are ascending and disjoint (the
-/// degenerate k-way merge; the token-level k-way merge drives
-/// vocabularySize() and other cross-shard vocabulary consumers).
+/// Shards are built one at a time so peak build memory is O(shard), and
+/// cross-shard results merge by concatenation because shard doc ranges are
+/// ascending and disjoint (the degenerate k-way merge; the token-level
+/// k-way merge drives vocabularySize() and other cross-shard vocabulary
+/// consumers). The property suites check every query against the linear
+/// scan in the test-only oracles library.
 class ShardedBannerIndex {
  public:
-  /// Re-materialize one document's full banner record.
+  /// Re-materialize one non-resident document's full banner record.
   using RecordFetcher = std::function<BannerRecord(std::uint32_t)>;
 
   ShardedBannerIndex() = default;
@@ -199,17 +95,14 @@ class ShardedBannerIndex {
   /// Index one record into the open shard (tokens, country bucket, surface
   /// tables). The record itself is not retained.
   void addRecord(const BannerRecord& record);
+  /// addRecord, keeping the record and its lowered text resident. Resident
+  /// docs must come first: throws std::logic_error after a non-resident one.
+  void addResidentRecord(BannerRecord record);
   /// Seal the open shard (empty shards are kept — they serialize and query
   /// as no-ops).
   void endShard();
 
-  /// Shard an existing monolithic index (docs in record order, chunked at
-  /// `shardTargetDocs`). The fetcher reads from `index`, which must outlive
-  /// the returned sharded view.
-  [[nodiscard]] static ShardedBannerIndex fromIndex(
-      const BannerIndex& index, std::size_t shardTargetDocs = 8192);
-
-  /// Build from owned records (retained internally as the fetch source).
+  /// Build from owned records, all resident, chunked at `shardTargetDocs`.
   [[nodiscard]] static ShardedBannerIndex fromRecords(
       std::vector<BannerRecord> records, std::size_t shardTargetDocs = 8192);
 
@@ -222,8 +115,19 @@ class ShardedBannerIndex {
 
   void setRecordFetcher(RecordFetcher fetcher) { fetcher_ = std::move(fetcher); }
   [[nodiscard]] bool hasRecordFetcher() const { return fetcher_ != nullptr; }
-  /// Fetch one document's record; throws std::logic_error without a fetcher.
+  /// One document's record: a copy of the resident record, else the
+  /// fetcher's. Throws std::logic_error for a non-resident doc without a
+  /// fetcher.
   [[nodiscard]] BannerRecord fetchRecord(std::uint32_t doc) const;
+
+  /// The resident records, doc ids [0, size()).
+  [[nodiscard]] const std::vector<BannerRecord>& residentRecords() const {
+    return residentRecords_;
+  }
+  /// The resident record of `doc`, or nullptr when `doc` is not resident.
+  [[nodiscard]] const BannerRecord* residentRecord(std::uint32_t doc) const {
+    return doc < residentRecords_.size() ? &residentRecords_[doc] : nullptr;
+  }
 
   // --- queries ------------------------------------------------------------
 
@@ -235,13 +139,15 @@ class ShardedBannerIndex {
     return {net::Ipv4Addr{ips_[doc]}, ports_[doc]};
   }
 
-  /// Doc ids matching the query, ascending — the same set
-  /// BannerIndex::search returns for the same corpus.
+  /// Doc ids matching the query, ascending.
   [[nodiscard]] std::vector<std::uint32_t> search(const Query& query) const;
 
   /// Union across queries, de-duplicated by (ip, port), ordered by first
-  /// match — BannerIndex::searchAll semantics on doc ids. Distinct keywords
-  /// resolve once, in parallel; country buckets decode once per searchAll.
+  /// match (query order, then doc order). Distinct keywords resolve once,
+  /// in parallel; each keyword's candidates are split by country once, so
+  /// the §3.1 keyword × country fan-out costs one walk per keyword. The
+  /// merge is sequential in query order, so results are identical at any
+  /// thread count.
   [[nodiscard]] std::vector<std::uint32_t> searchAll(
       const std::vector<Query>& queries) const;
 
@@ -262,15 +168,21 @@ class ShardedBannerIndex {
   }
 
   /// Distinct tokens across all shards (k-way merged, so shared vocabulary
-  /// is counted once — comparable to BannerIndex::vocabularySize()).
+  /// is counted once).
   [[nodiscard]] std::size_t vocabularySize() const;
 
-  /// Approximate resident footprint of the index structures, in bytes.
+  /// Approximate resident footprint of the index structures, in bytes (the
+  /// resident records are not counted).
   [[nodiscard]] std::size_t memoryBytes() const;
 
  private:
   [[nodiscard]] std::vector<std::uint32_t> keywordCandidates(
       const std::string& loweredKeyword) const;
+  /// Whether doc's lowered banner text contains `loweredKeyword`: resident
+  /// docs are read in place, the rest are fetched and lowered in `scratch`.
+  [[nodiscard]] bool docContains(std::uint32_t doc,
+                                 std::string_view loweredKeyword,
+                                 std::string& scratch) const;
   [[nodiscard]] std::vector<std::uint32_t> decodeCountryBucket(
       const std::string& upperAlpha2) const;
 
@@ -282,9 +194,9 @@ class ShardedBannerIndex {
   /// serialization order).
   std::map<std::string, DeltaIdList> countryBuckets_;
   RecordFetcher fetcher_;
-  /// fromRecords keeps its source here so the default fetcher stays valid
-  /// across moves.
-  std::shared_ptr<const std::vector<BannerRecord>> retained_;
+  std::vector<BannerRecord> residentRecords_;
+  /// Lowered searchable text of each resident record.
+  std::vector<std::string> residentLowered_;
   /// Staging buffers reused across addRecord calls (build is single-writer).
   std::string textScratch_;
   std::string loweredScratch_;
@@ -315,21 +227,28 @@ struct StreamCrawlOptions {
   std::uint64_t hostsPerShard = 8192;  ///< stream shard granularity
 };
 
-/// Crawl a world that may carry an attached host stream, building a
-/// ShardedBannerIndex within O(shard) memory: eagerly bound surfaces form
-/// the leading shard (binding order), then each stream shard is
-/// materialized, probed, indexed, and discarded. Doc order equals the
-/// binding order of the eager reference world (materializeInto), so the
-/// result is byte-identical to crawling that world with BannerIndex::crawl.
-/// The returned index's fetcher re-probes on demand and captures `world` and
-/// `geo` by reference — both must outlive the index.
+/// Probe every externally visible surface of a world — the same epistemic
+/// position as a real Internet-wide scanner: it sees only what is publicly
+/// reachable — building a ShardedBannerIndex within O(shard) memory:
+///  - eagerly bound surfaces form the leading shard (binding order) and stay
+///    resident, so queries over them answer from the crawl-time banners even
+///    after the world changes;
+///  - each stream shard is materialized, probed, indexed, and discarded.
+/// Doc order equals the binding order of the eager reference world
+/// (materializeInto), so streamed and eager crawls of one world agree.
+/// Surfaces are probed concurrently on the shared thread pool into per-slot
+/// records (external-surface handlers must be thread-safe for the crawler's
+/// anonymous `GET /`; all in-tree handlers are pure functions of the
+/// request); `threadLimit == 1` forces the serial crawl. With a stream
+/// attached, the returned index's fetcher re-materializes streamed docs and
+/// captures `world` and `geo` by reference — both must outlive the index.
 [[nodiscard]] ShardedBannerIndex crawlStream(simnet::World& world,
                                              const geo::GeoDatabase& geo,
                                              StreamCrawlOptions options = {});
 
 /// Internet Census-style exhaustive scanner [10]: probes *every address* in
 /// every announced prefix on a port list, not just known-visible surfaces.
-/// Finds the same surfaces as BannerIndex::crawl but demonstrates the
+/// Finds the same surfaces as crawlStream but demonstrates the
 /// larger-scale approach §3.1 mentions as ongoing work.
 class CensusScanner {
  public:

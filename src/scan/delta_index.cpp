@@ -214,8 +214,9 @@ ShardedBannerIndex IncrementalCrawler::assemble() const {
       std::move(ips), std::move(ports), std::move(countryBuckets),
       std::move(shards));
 
-  // The fetcher mirrors crawlStream's: eager docs re-probe their bound
-  // endpoints, streamed docs re-materialize the pure host function.
+  // Eager docs re-probe their bound endpoints (crawlStream keeps them
+  // resident instead; both give the banners of the latest refresh until the
+  // world changes), streamed docs re-materialize the pure host function.
   auto surfaces = world_->externalSurfaces();
   const auto eagerCount = static_cast<std::uint32_t>(surfaces.size());
   index.setRecordFetcher([world = world_, geo = geo_,

@@ -27,7 +27,7 @@ struct IncrementalCrawlOptions {
 /// and the monitor bench): after refresh(dirty) the assembled index is
 /// semantically identical to a fresh crawlStream of the same world — same
 /// doc-id layout (cells replicate crawlStream's shard order exactly), same
-/// postings per cell, same country buckets, same fetcher behaviour. That
+/// postings per cell, same country buckets, same fetched records. That
 /// holds because
 ///   * the cell layout is pinned by a structural signature (the eager
 ///     surface list and the stream shard table); any layout change — a new
@@ -58,8 +58,9 @@ class IncrementalCrawler {
   /// everything. First call always builds everything.
   void refresh(const DirtyHostFn& dirtyHost);
 
-  /// Assemble the current cells into a queryable index. The fetcher
-  /// re-probes on demand, exactly like crawlStream's.
+  /// Assemble the current cells into a queryable index. Its fetcher
+  /// re-probes on demand: eager docs through their bound endpoints, streamed
+  /// docs by re-materializing the host.
   [[nodiscard]] ShardedBannerIndex assemble() const;
 
   /// Diagnostics for the last refresh.

@@ -128,7 +128,7 @@ class PostingShard {
   void appendTokenPostings(std::size_t k, std::vector<std::uint32_t>& out) const;
 
   /// Append the doc ids of every document whose vocabulary contains a token
-  /// with `needle` as a substring — the shard-local half of the monolithic
+  /// with `needle` as a substring — the shard-local half of the whole-corpus
   /// index's vocabulary pre-filter. Appended ids may repeat across tokens;
   /// the caller sorts/uniques the union.
   void appendCandidates(std::string_view needle,

@@ -41,6 +41,12 @@ inline constexpr std::string_view kShedMarker = "shed";
 
 struct SessionRequest {
   enum class Kind { kCampaign, kQuery, kHold };
+
+  /// Wire bounds: `classify_threads` and `crash_after` must be integers in
+  /// [0, bound]; anything else is refused with a 400.
+  static constexpr std::size_t kMaxClassifyThreads = 1024;
+  static constexpr int kMaxCrashAfter = 1 << 30;
+
   Kind kind = Kind::kCampaign;
   std::string snapshot;
 

@@ -10,8 +10,8 @@
 
 #include "filters/category_db.h"
 #include "filters/category_set.h"
-#include "filters/reference_category_store.h"
 #include "net/url.h"
+#include "oracles/reference_category_store.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
 
@@ -55,7 +55,7 @@ TEST(CategorizeAsOf, CutoffBoundaryIsInclusiveAtEveryGranularity) {
   EXPECT_FALSE(db.isCategorizedAsOf(byHost, kBefore));
 
   // The reference store draws the same boundary.
-  filters::ReferenceCategoryStore reference;
+  oracles::ReferenceCategoryStore reference;
   reference.addHost("blocked.example.com", kPorn, kAdded);
   EXPECT_EQ(reference.categorizeAsOf(byHost, kAdded), std::set{kPorn});
   EXPECT_TRUE(reference.categorizeAsOf(byHost, kBefore).empty());
@@ -83,7 +83,7 @@ TEST(CategoryStoreProperty, FlatMatchesReferenceUnderRandomMutation) {
 
   util::Rng rng(20130814);
   filters::CategoryDatabase flat;
-  filters::ReferenceCategoryStore reference;
+  oracles::ReferenceCategoryStore reference;
 
   for (int step = 0; step < 2000; ++step) {
     const auto op = rng.uniform(0, 9);

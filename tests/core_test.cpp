@@ -176,8 +176,7 @@ TEST_F(CoreFixture, VendorSetLookup) {
 TEST_F(CoreFixture, IdentifierFindsTheDeployment) {
   const auto geo = world.buildGeoDatabase();
   const auto whois = world.buildAsnDatabase();
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
 
   Identifier identifier(world, index,
                         fingerprint::Engine::withBuiltinSignatures(), geo,
@@ -194,8 +193,7 @@ TEST_F(CoreFixture, IdentifierFindsTheDeployment) {
 
 TEST_F(CoreFixture, IdentifierFindsNothingForAbsentProducts) {
   const auto geo = world.buildGeoDatabase();
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
   Identifier identifier(world, index,
                         fingerprint::Engine::withBuiltinSignatures(), geo,
                         world.buildAsnDatabase());

@@ -55,9 +55,9 @@ std::string measureSession(RandomWorld& random,
   return measure::exportSession(client.testList(workload(random)), 2);
 }
 
-std::string bannerFingerprint(const scan::BannerIndex& index) {
+std::string bannerFingerprint(const scan::ShardedBannerIndex& index) {
   std::ostringstream out;
-  for (const auto& record : index.records())
+  for (const auto& record : index.residentRecords())
     out << record.ip.toString() << ':' << record.port << ' '
         << record.statusCode << ' ' << record.countryAlpha2 << ' '
         << record.title << '\n'
@@ -66,7 +66,7 @@ std::string bannerFingerprint(const scan::BannerIndex& index) {
 }
 
 std::string installationsFingerprint(RandomWorld& random,
-                                     const scan::BannerIndex& index) {
+                                     const scan::ShardedBannerIndex& index) {
   auto& world = random.world();
   const auto geo = world.buildGeoDatabase();
   const auto whois = world.buildAsnDatabase();
@@ -113,10 +113,11 @@ TEST_P(FaultProperty, OutcomeIndependentOfThreadCount) {
 
   const auto geoSerial = serial.world().buildGeoDatabase();
   const auto geoPooled = pooled.world().buildGeoDatabase();
-  scan::BannerIndex indexSerial;
-  indexSerial.crawl(serial.world(), geoSerial, 2048, /*threadLimit=*/1);
-  scan::BannerIndex indexPooled;
-  indexPooled.crawl(pooled.world(), geoPooled, 2048, /*threadLimit=*/0);
+  scan::StreamCrawlOptions serialOptions;
+  serialOptions.threadLimit = 1;
+  const auto indexSerial =
+      scan::crawlStream(serial.world(), geoSerial, serialOptions);
+  const auto indexPooled = scan::crawlStream(pooled.world(), geoPooled);
 
   EXPECT_EQ(bannerFingerprint(indexSerial), bannerFingerprint(indexPooled));
   EXPECT_EQ(installationsFingerprint(serial, indexSerial),

@@ -22,8 +22,7 @@ Installations identify(RandomWorld& random) {
   auto& world = random.world();
   const auto geo = world.buildGeoDatabase();
   const auto whois = world.buildAsnDatabase();
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
   core::Identifier identifier(world, index,
                               fingerprint::Engine::withBuiltinSignatures(),
                               geo, whois);

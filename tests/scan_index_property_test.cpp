@@ -1,8 +1,12 @@
-// Equivalence properties of the indexed scan→identify pipeline:
-//  - indexed BannerIndex::search/searchAll return exactly the reference
-//    (linear-scan) result sets over randomized worlds and randomized
-//    queries, including country facets, mixed-case keywords, keywords
-//    spanning token boundaries, and punctuation-only keywords;
+// Equivalence properties of the scan→identify pipeline against the linear
+// scan in the test-only oracles library:
+//  - ShardedBannerIndex::search/searchAll return exactly the oracle's result
+//    sets over randomized worlds and randomized queries, including country
+//    facets, mixed-case keywords, keywords spanning token boundaries, and
+//    punctuation-only keywords — for the crawled (resident, one shard),
+//    re-sharded (fromRecords at small shard targets, concatenated sources)
+//    and imported (exportShardedIndex round trip, banners fetched back)
+//    forms of one corpus;
 //  - parallel crawl and parallel identifyAll are byte-identical to their
 //    serial counterparts for the same seed.
 #include <gtest/gtest.h>
@@ -13,6 +17,7 @@
 
 #include "core/serialize.h"
 #include "net/cctld.h"
+#include "oracles/linear_scan.h"
 #include "scan/serialize.h"
 #include "scenarios/random_world.h"
 #include "util/rng.h"
@@ -21,6 +26,7 @@
 namespace urlf::scan {
 namespace {
 
+using Oracle = oracles::LinearBannerScan;
 using scenarios::RandomWorld;
 using scenarios::RandomWorldConfig;
 
@@ -34,8 +40,8 @@ RandomWorldConfig mediumWorld() {
 
 /// Random keyword drawn from real banner text so it can straddle token
 /// boundaries ("r\n<title>Net"), with random case flips.
-std::string keywordFromBanner(util::Rng& rng, const BannerIndex& index) {
-  const auto& records = index.records();
+std::string keywordFromBanner(util::Rng& rng, const Oracle& oracle) {
+  const auto& records = oracle.records();
   const auto& text = records[rng.index(records.size())].searchableText();
   if (text.empty()) return "x";
   const std::size_t len = 1 + rng.index(18);
@@ -47,7 +53,7 @@ std::string keywordFromBanner(util::Rng& rng, const BannerIndex& index) {
   return keyword;
 }
 
-std::vector<Query> randomQueries(util::Rng& rng, const BannerIndex& index,
+std::vector<Query> randomQueries(util::Rng& rng, const Oracle& oracle,
                                  int count) {
   const std::vector<std::string> fixed = {
       "proxysg",       "cfru=",          "mcafee web gateway",
@@ -63,12 +69,12 @@ std::vector<Query> randomQueries(util::Rng& rng, const BannerIndex& index,
     if (rng.chance(0.4)) {
       query.keyword = fixed[rng.index(fixed.size())];
     } else {
-      query.keyword = keywordFromBanner(rng, index);
+      query.keyword = keywordFromBanner(rng, oracle);
     }
     const double facet = rng.uniform01();
     if (facet < 0.4) {
       // a country actually present in the index (random case)
-      const auto& records = index.records();
+      const auto& records = oracle.records();
       auto country = records[rng.index(records.size())].countryAlpha2;
       if (!country.empty() && rng.chance(0.5))
         country = util::toLower(country);
@@ -81,59 +87,23 @@ std::vector<Query> randomQueries(util::Rng& rng, const BannerIndex& index,
   return out;
 }
 
-std::vector<const BannerRecord*> searchInMode(BannerIndex& index,
-                                              BannerIndex::SearchMode mode,
-                                              const Query& query) {
-  index.setSearchMode(mode);
-  return index.search(query);
-}
+/// A crawled world: the resident index and the oracle over its records.
+struct Crawled {
+  RandomWorld world;
+  geo::GeoDatabase geo;
+  ShardedBannerIndex index;
+  Oracle oracle;
 
-TEST(ScanIndexProperty, IndexedSearchMatchesReferenceOnRandomWorlds) {
-  for (const std::uint64_t seed : {11u, 22u, 33u}) {
-    RandomWorld world(seed, mediumWorld());
-    const auto geo = world.world().buildGeoDatabase();
-    BannerIndex index;
-    index.crawl(world.world(), geo);
-    ASSERT_GT(index.size(), 0u);
+  explicit Crawled(std::uint64_t seed)
+      : world(seed, mediumWorld()),
+        geo(world.world().buildGeoDatabase()),
+        index(crawlStream(world.world(), geo)),
+        oracle(index.residentRecords()) {}
+};
 
-    util::Rng rng(seed * 1000 + 7);
-    const auto queries = randomQueries(rng, index, 200);
-    for (const auto& query : queries) {
-      const auto indexed =
-          searchInMode(index, BannerIndex::SearchMode::kIndexed, query);
-      const auto reference =
-          searchInMode(index, BannerIndex::SearchMode::kReference, query);
-      ASSERT_EQ(indexed, reference)
-          << "seed=" << seed << " keyword=\"" << query.keyword << "\" country="
-          << query.countryAlpha2.value_or("(none)");
-    }
-  }
-}
-
-TEST(ScanIndexProperty, SearchAllMatchesReferenceOnRandomQueries) {
-  RandomWorld world(77, mediumWorld());
-  const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
-
-  util::Rng rng(404);
-  const auto queries = randomQueries(rng, index, 300);
-
-  index.setSearchMode(BannerIndex::SearchMode::kIndexed);
-  const auto indexed = index.searchAll(queries);
-  index.setSearchMode(BannerIndex::SearchMode::kReference);
-  const auto reference = index.searchAll(queries);
-  EXPECT_EQ(indexed, reference);
-}
-
-TEST(ScanIndexProperty, SearchAllMatchesReferenceOnFullKeywordCountryFanOut) {
-  RandomWorld world(5150, mediumWorld());
-  const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
-
-  // The §3.1 fan-out the Identifier issues: every product keyword alone and
-  // crossed with every registry country.
+/// The §3.1 fan-out the Identifier issues: every product keyword alone and
+/// crossed with every registry country.
+std::vector<Query> fullFanOut() {
   std::vector<Query> queries;
   for (const auto product : filters::allProducts()) {
     for (const auto& keyword : core::Identifier::shodanKeywords(product)) {
@@ -142,12 +112,38 @@ TEST(ScanIndexProperty, SearchAllMatchesReferenceOnFullKeywordCountryFanOut) {
         queries.push_back({keyword, std::string(country.alpha2)});
     }
   }
+  return queries;
+}
 
-  index.setSearchMode(BannerIndex::SearchMode::kIndexed);
-  const auto indexed = index.searchAll(queries);
-  index.setSearchMode(BannerIndex::SearchMode::kReference);
-  const auto reference = index.searchAll(queries);
-  EXPECT_EQ(indexed, reference);
+TEST(ScanIndexProperty, CrawledIndexSearchMatchesOracleOnRandomWorlds) {
+  for (const std::uint64_t seed : {11u, 22u, 33u}) {
+    const Crawled crawled(seed);
+    ASSERT_GT(crawled.index.docCount(), 0u);
+    ASSERT_EQ(crawled.index.residentRecords().size(),
+              crawled.index.docCount());
+
+    util::Rng rng(seed * 1000 + 7);
+    const auto queries = randomQueries(rng, crawled.oracle, 200);
+    for (const auto& query : queries) {
+      ASSERT_EQ(crawled.index.search(query), crawled.oracle.search(query))
+          << "seed=" << seed << " keyword=\"" << query.keyword << "\" country="
+          << query.countryAlpha2.value_or("(none)");
+    }
+  }
+}
+
+TEST(ScanIndexProperty, SearchAllMatchesOracleOnRandomQueries) {
+  const Crawled crawled(77);
+  util::Rng rng(404);
+  const auto queries = randomQueries(rng, crawled.oracle, 300);
+  EXPECT_EQ(crawled.index.searchAll(queries), crawled.oracle.searchAll(queries));
+}
+
+TEST(ScanIndexProperty, SearchAllMatchesOracleOnFullKeywordCountryFanOut) {
+  const Crawled crawled(5150);
+  const auto queries = fullFanOut();
+  const auto indexed = crawled.index.searchAll(queries);
+  EXPECT_EQ(indexed, crawled.oracle.searchAll(queries));
   EXPECT_GT(indexed.size(), 0u);
 }
 
@@ -157,16 +153,18 @@ TEST(ScanIndexProperty, ParallelCrawlIsByteIdenticalToSerialCrawl) {
   const auto geoA = worldA.world().buildGeoDatabase();
   const auto geoB = worldB.world().buildGeoDatabase();
 
-  BannerIndex serial;
-  serial.crawl(worldA.world(), geoA, 2048, /*threadLimit=*/1);
-  BannerIndex parallel;
-  parallel.crawl(worldB.world(), geoB, 2048, /*threadLimit=*/0);
+  StreamCrawlOptions serialOptions;
+  serialOptions.threadLimit = 1;
+  const auto serial = crawlStream(worldA.world(), geoA, serialOptions);
+  const auto parallel = crawlStream(worldB.world(), geoB);
 
-  EXPECT_EQ(exportRecords(serial.records(), 0),
-            exportRecords(parallel.records(), 0));
+  EXPECT_EQ(exportRecords(serial.residentRecords(), 0),
+            exportRecords(parallel.residentRecords(), 0));
+  EXPECT_EQ(exportShardedIndex(serial), exportShardedIndex(parallel));
 }
 
-core::Identifier makeIdentifier(RandomWorld& world, const BannerIndex& index,
+core::Identifier makeIdentifier(RandomWorld& world,
+                                const ShardedBannerIndex& index,
                                 std::size_t threads) {
   core::IdentifierConfig config;
   config.threads = threads;
@@ -177,76 +175,44 @@ core::Identifier makeIdentifier(RandomWorld& world, const BannerIndex& index,
 }
 
 TEST(ScanIndexProperty, ParallelIdentifyAllIsByteIdenticalToSerial) {
-  RandomWorld world(2024, mediumWorld());
-  const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
-
-  const auto serial = makeIdentifier(world, index, 1).identifyAll();
-  const auto parallel = makeIdentifier(world, index, 0).identifyAll();
+  Crawled crawled(2024);
+  const auto serial =
+      makeIdentifier(crawled.world, crawled.index, 1).identifyAll();
+  const auto parallel =
+      makeIdentifier(crawled.world, crawled.index, 0).identifyAll();
   EXPECT_EQ(core::toJson(serial).dump(2), core::toJson(parallel).dump(2));
 }
 
 TEST(ScanIndexProperty, ParallelIdentifyAllPassiveIsByteIdenticalToSerial) {
-  RandomWorld world(2025, mediumWorld());
-  const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
-
-  const auto serial = makeIdentifier(world, index, 1).identifyAllPassive();
-  const auto parallel = makeIdentifier(world, index, 0).identifyAllPassive();
+  Crawled crawled(2025);
+  const auto serial =
+      makeIdentifier(crawled.world, crawled.index, 1).identifyAllPassive();
+  const auto parallel =
+      makeIdentifier(crawled.world, crawled.index, 0).identifyAllPassive();
   EXPECT_EQ(core::toJson(serial).dump(2), core::toJson(parallel).dump(2));
 }
 
-std::vector<std::pair<std::uint32_t, std::uint16_t>> surfacesOf(
-    const std::vector<const BannerRecord*>& hits) {
-  std::vector<std::pair<std::uint32_t, std::uint16_t>> out;
-  out.reserve(hits.size());
-  for (const auto* record : hits) out.emplace_back(record->ip.value(), record->port);
-  return out;
-}
-
-std::vector<std::pair<std::uint32_t, std::uint16_t>> surfacesOf(
-    const ShardedBannerIndex& index, const std::vector<std::uint32_t>& docs) {
-  std::vector<std::pair<std::uint32_t, std::uint16_t>> out;
-  out.reserve(docs.size());
-  for (const auto doc : docs) {
-    const auto surface = index.surface(doc);
-    out.emplace_back(surface.ip.value(), surface.port);
-  }
-  return out;
-}
-
-TEST(ScanIndexProperty, ShardedSearchMatchesMonolithicAndReference) {
+TEST(ScanIndexProperty, ReshardedSearchMatchesOracle) {
   for (const std::uint64_t seed : {101u, 202u}) {
-    RandomWorld world(seed, mediumWorld());
-    const auto geo = world.world().buildGeoDatabase();
-    BannerIndex index;
-    index.crawl(world.world(), geo);
+    const Crawled crawled(seed);
 
     // Small shard target so the corpus spans many shards.
-    const auto sharded = ShardedBannerIndex::fromIndex(index, 16);
-    ASSERT_EQ(sharded.docCount(), index.size());
-    EXPECT_EQ(sharded.vocabularySize(), index.vocabularySize());
+    const auto sharded =
+        ShardedBannerIndex::fromRecords(crawled.index.residentRecords(), 16);
+    ASSERT_EQ(sharded.docCount(), crawled.oracle.size());
+    ASSERT_GT(sharded.shardCount(), 1u);
+    EXPECT_EQ(sharded.vocabularySize(), crawled.oracle.vocabularySize());
+    EXPECT_EQ(crawled.index.vocabularySize(), crawled.oracle.vocabularySize());
 
     util::Rng rng(seed + 5);
-    for (const auto& query : randomQueries(rng, index, 150)) {
-      const auto viaSharded = surfacesOf(sharded, sharded.search(query));
-      const auto viaIndexed = surfacesOf(
-          searchInMode(index, BannerIndex::SearchMode::kIndexed, query));
-      const auto viaReference = surfacesOf(
-          searchInMode(index, BannerIndex::SearchMode::kReference, query));
-      ASSERT_EQ(viaSharded, viaIndexed)
-          << "seed=" << seed << " keyword=\"" << query.keyword << "\"";
-      ASSERT_EQ(viaSharded, viaReference)
+    for (const auto& query : randomQueries(rng, crawled.oracle, 150)) {
+      ASSERT_EQ(sharded.search(query), crawled.oracle.search(query))
           << "seed=" << seed << " keyword=\"" << query.keyword << "\"";
     }
 
     util::Rng rngAll(seed + 6);
-    const auto queries = randomQueries(rngAll, index, 120);
-    index.setSearchMode(BannerIndex::SearchMode::kIndexed);
-    EXPECT_EQ(surfacesOf(sharded, sharded.searchAll(queries)),
-              surfacesOf(index.searchAll(queries)));
+    const auto queries = randomQueries(rngAll, crawled.oracle, 120);
+    EXPECT_EQ(sharded.searchAll(queries), crawled.oracle.searchAll(queries));
   }
 }
 
@@ -283,23 +249,22 @@ TEST(ScanIndexProperty, DeltaIdListRoundTripsRandomAscendingSequences) {
 }
 
 TEST(ScanIndexProperty, ShardedIndexSurvivesExportImportRoundTrip) {
-  RandomWorld world(606, mediumWorld());
-  const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
-  const auto sharded = ShardedBannerIndex::fromIndex(index, 16);
+  const Crawled crawled(606);
+  const auto sharded =
+      ShardedBannerIndex::fromRecords(crawled.index.residentRecords(), 16);
 
   const auto blob = exportShardedIndex(sharded);
-  const auto imported = importShardedIndex(blob);
+  auto imported = importShardedIndex(blob);
   ASSERT_TRUE(imported.has_value());
   EXPECT_EQ(imported->docCount(), sharded.docCount());
   EXPECT_EQ(imported->shardCount(), sharded.shardCount());
   EXPECT_EQ(imported->vocabularySize(), sharded.vocabularySize());
   EXPECT_FALSE(imported->hasRecordFetcher());
+  EXPECT_TRUE(imported->residentRecords().empty());
   EXPECT_EQ(exportShardedIndex(*imported), blob);
 
   // Token-only keywords resolve without a record fetcher; results agree
-  // with the fetcher-backed original.
+  // with the resident original.
   for (const std::string keyword :
        {"proxysg", "netsweeper", "webadmin", "apache", "html"}) {
     for (const auto country :
@@ -309,6 +274,19 @@ TEST(ScanIndexProperty, ShardedIndexSurvivesExportImportRoundTrip) {
           << "keyword=" << keyword;
     }
   }
+
+  // With the banners fetched back, the imported index answers every query
+  // as the oracle does.
+  imported->setRecordFetcher([&crawled](std::uint32_t doc) {
+    return crawled.oracle.records()[doc];
+  });
+  util::Rng rng(607);
+  for (const auto& query : randomQueries(rng, crawled.oracle, 100)) {
+    ASSERT_EQ(imported->search(query), crawled.oracle.search(query))
+        << "keyword=\"" << query.keyword << "\"";
+  }
+  const auto queries = fullFanOut();
+  EXPECT_EQ(imported->searchAll(queries), crawled.oracle.searchAll(queries));
 
   // Corruption is detected: flip one byte in the middle.
   auto corrupted = blob;
@@ -332,68 +310,61 @@ TEST(ScanIndexProperty, ShardedIndexHandlesEmptyAndSingleDocShards) {
   EXPECT_EQ(emptyImported->docCount(), 0u);
 
   // One document per shard — the degenerate sharding — still matches the
-  // monolithic index on every query.
-  RandomWorld world(707, mediumWorld());
-  const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
-  const auto singletons = ShardedBannerIndex::fromIndex(index, 1);
-  ASSERT_EQ(singletons.shardCount(), index.size());
+  // oracle on every query.
+  const Crawled crawled(707);
+  const auto singletons =
+      ShardedBannerIndex::fromRecords(crawled.index.residentRecords(), 1);
+  ASSERT_EQ(singletons.shardCount(), crawled.oracle.size());
 
   util::Rng rng(11);
-  for (const auto& query : randomQueries(rng, index, 60)) {
-    EXPECT_EQ(surfacesOf(singletons, singletons.search(query)),
-              surfacesOf(
-                  searchInMode(index, BannerIndex::SearchMode::kIndexed, query)))
+  for (const auto& query : randomQueries(rng, crawled.oracle, 60)) {
+    EXPECT_EQ(singletons.search(query), crawled.oracle.search(query))
         << "keyword=\"" << query.keyword << "\"";
   }
 }
 
-TEST(ScanIndexProperty, ShardedIdentifyAllMatchesMonolithic) {
-  RandomWorld world(909, mediumWorld());
-  const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
-  const auto sharded = ShardedBannerIndex::fromIndex(index, 16);
+TEST(ScanIndexProperty, IdentifyAllAgreesAcrossShardingsAndImport) {
+  Crawled crawled(909);
+  const auto sharded =
+      ShardedBannerIndex::fromRecords(crawled.index.residentRecords(), 16);
+  auto imported = importShardedIndex(exportShardedIndex(sharded));
+  ASSERT_TRUE(imported.has_value());
+  imported->setRecordFetcher([&crawled](std::uint32_t doc) {
+    return crawled.oracle.records()[doc];
+  });
 
-  const core::Identifier viaMonolithic(
-      world.world(), index, fingerprint::Engine::withBuiltinSignatures(),
-      world.world().buildGeoDatabase(), world.world().buildAsnDatabase());
-  const core::Identifier viaSharded(
-      world.world(), sharded, fingerprint::Engine::withBuiltinSignatures(),
-      world.world().buildGeoDatabase(), world.world().buildAsnDatabase());
+  const auto viaCrawl = makeIdentifier(crawled.world, crawled.index, 0);
+  const auto viaSharded = makeIdentifier(crawled.world, sharded, 0);
+  const auto viaImported = makeIdentifier(crawled.world, *imported, 0);
 
-  EXPECT_EQ(core::toJson(viaMonolithic.identifyAll()).dump(2),
-            core::toJson(viaSharded.identifyAll()).dump(2));
-  EXPECT_EQ(core::toJson(viaMonolithic.identifyAllPassive()).dump(2),
-            core::toJson(viaSharded.identifyAllPassive()).dump(2));
+  const auto active = core::toJson(viaCrawl.identifyAll()).dump(2);
+  EXPECT_EQ(active, core::toJson(viaSharded.identifyAll()).dump(2));
+  EXPECT_EQ(active, core::toJson(viaImported.identifyAll()).dump(2));
+  const auto passive = core::toJson(viaCrawl.identifyAllPassive()).dump(2);
+  EXPECT_EQ(passive, core::toJson(viaSharded.identifyAllPassive()).dump(2));
+  EXPECT_EQ(passive, core::toJson(viaImported.identifyAllPassive()).dump(2));
 }
 
-TEST(ScanIndexProperty, AddRecordsKeepsIndexConsistent) {
-  RandomWorld world(31337, mediumWorld());
-  const auto geo = world.world().buildGeoDatabase();
-  BannerIndex crawled;
-  crawled.crawl(world.world(), geo);
+TEST(ScanIndexProperty, ConcatenatedRecordsMatchTheCrawl) {
+  const Crawled crawled(31337);
 
-  // Rebuild the same index through the fromRecords/addRecords path in two
-  // chunks; queries must agree with the crawl-built index.
-  auto records = crawled.records();
+  // Rebuild the same corpus from two record sources, concatenated; queries
+  // must agree with the crawl-built index and the oracle.
+  const auto& records = crawled.index.residentRecords();
   const std::size_t half = records.size() / 2;
-  BannerIndex merged = BannerIndex::fromRecords(
-      {records.begin(), records.begin() + static_cast<std::ptrdiff_t>(half)});
-  merged.addRecords(
-      {records.begin() + static_cast<std::ptrdiff_t>(half), records.end()});
-  ASSERT_EQ(merged.size(), crawled.size());
+  std::vector<BannerRecord> merged(
+      records.begin(), records.begin() + static_cast<std::ptrdiff_t>(half));
+  const std::vector<BannerRecord> rest(
+      records.begin() + static_cast<std::ptrdiff_t>(half), records.end());
+  merged.insert(merged.end(), rest.begin(), rest.end());
+  const auto index = ShardedBannerIndex::fromRecords(std::move(merged));
+  ASSERT_EQ(index.docCount(), crawled.index.docCount());
 
   util::Rng rng(99);
-  for (const auto& query : randomQueries(rng, crawled, 100)) {
-    const auto a = crawled.search(query);
-    const auto b = merged.search(query);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i]->ip.value(), b[i]->ip.value());
-      EXPECT_EQ(a[i]->port, b[i]->port);
-    }
+  for (const auto& query : randomQueries(rng, crawled.oracle, 100)) {
+    const auto hits = index.search(query);
+    EXPECT_EQ(hits, crawled.index.search(query));
+    EXPECT_EQ(hits, crawled.oracle.search(query));
   }
 }
 

@@ -45,16 +45,14 @@ class ScanFixture : public ::testing::Test {
 };
 
 TEST_F(ScanFixture, CrawlIndexesOnlyVisibleSurfaces) {
-  BannerIndex index;
-  index.crawl(world, geo);
-  EXPECT_EQ(index.size(), 2u);  // hidden.example is not crawled
+  const auto index = crawlStream(world, geo);
+  EXPECT_EQ(index.docCount(), 2u);  // hidden.example is not crawled
 }
 
 TEST_F(ScanFixture, RecordsCarryGeoAndTitle) {
-  BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = crawlStream(world, geo);
   int saudi = 0;
-  for (const auto& record : index.records()) {
+  for (const auto& record : index.residentRecords()) {
     EXPECT_EQ(record.statusCode, 200);
     EXPECT_FALSE(record.title.empty());
     if (record.countryAlpha2 == "SA") ++saudi;
@@ -63,31 +61,27 @@ TEST_F(ScanFixture, RecordsCarryGeoAndTitle) {
 }
 
 TEST_F(ScanFixture, KeywordSearchIsCaseInsensitive) {
-  BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = crawlStream(world, geo);
   EXPECT_EQ(index.search({"WEBADMIN", std::nullopt}).size(), 1u);
   EXPECT_EQ(index.search({"webadmin", std::nullopt}).size(), 1u);
   EXPECT_EQ(index.search({"nonexistent-keyword", std::nullopt}).size(), 0u);
 }
 
 TEST_F(ScanFixture, CountryFacetRestricts) {
-  BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = crawlStream(world, geo);
   EXPECT_EQ(index.search({"portal", "SA"}).size(), 1u);
   EXPECT_EQ(index.search({"portal", "US"}).size(), 0u);
   EXPECT_EQ(index.search({"webadmin", "US"}).size(), 1u);
 }
 
 TEST_F(ScanFixture, SearchMatchesHeadersToo) {
-  BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = crawlStream(world, geo);
   // Origin servers stamp a Server header.
   EXPECT_GE(index.search({"Apache", std::nullopt}).size(), 2u);
 }
 
 TEST_F(ScanFixture, SearchAllDeduplicates) {
-  BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = crawlStream(world, geo);
   const auto hits = index.searchAll({{"webadmin", std::nullopt},
                                      {"WEBADMIN", std::nullopt},
                                      {"webadmin", "US"}});
@@ -97,35 +91,33 @@ TEST_F(ScanFixture, SearchAllDeduplicates) {
 TEST_F(ScanFixture, BodySnippetIsCapped) {
   addServer(200, "big.example", "Big",
             std::string(10000, 'x'), true);
-  BannerIndex index;
-  index.crawl(world, geo, /*bodySnippetLimit=*/512);
-  for (const auto& record : index.records())
+  StreamCrawlOptions options;
+  options.bodySnippetLimit = 512;
+  const auto index = crawlStream(world, geo, options);
+  for (const auto& record : index.residentRecords())
     EXPECT_LE(record.body.size(), 512u);
 }
 
 TEST_F(ScanFixture, RecrawlReplacesIndex) {
-  BannerIndex index;
-  index.crawl(world, geo);
-  const auto before = index.size();
-  index.crawl(world, geo);
-  EXPECT_EQ(index.size(), before);
+  auto index = crawlStream(world, geo);
+  const auto before = index.docCount();
+  index = crawlStream(world, geo);
+  EXPECT_EQ(index.docCount(), before);
 }
 
 TEST_F(ScanFixture, SearchableTextContainsStatusLine) {
-  BannerIndex index;
-  index.crawl(world, geo);
-  EXPECT_FALSE(index.records().empty());
-  EXPECT_NE(index.records()[0].searchableText().find("HTTP/1.1 200"),
+  const auto index = crawlStream(world, geo);
+  EXPECT_FALSE(index.residentRecords().empty());
+  EXPECT_NE(index.residentRecords()[0].searchableText().find("HTTP/1.1 200"),
             std::string::npos);
 }
 
 TEST_F(ScanFixture, CensusSweepFindsSameSurfacesAsCrawl) {
-  BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = crawlStream(world, geo);
 
   CensusScanner census({80});
   const auto swept = census.sweep(world, geo);
-  EXPECT_EQ(swept.size(), index.size());
+  EXPECT_EQ(swept.size(), index.docCount());
 }
 
 TEST_F(ScanFixture, CensusSweepHonoursPortList) {
@@ -156,10 +148,9 @@ TEST_F(ScanFixture, CensusFindsNetsweeperConsoleOnPort8080) {
 
 TEST_F(ScanFixture, GeoErrorRatePropagatesIntoBanners) {
   auto noisyGeo = world.buildGeoDatabase(/*errorRate=*/1.0);
-  BannerIndex index;
-  index.crawl(world, noisyGeo);
+  const auto index = crawlStream(world, noisyGeo);
   // With error rate 1 and two countries, every banner is mislocated.
-  for (const auto& record : index.records()) {
+  for (const auto& record : index.residentRecords()) {
     const auto truth = noisyGeo.lookupTruth(record.ip);
     ASSERT_TRUE(truth);
     EXPECT_NE(record.countryAlpha2, *truth);

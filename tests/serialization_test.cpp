@@ -184,17 +184,16 @@ INSTANTIATE_TEST_SUITE_P(Sweep, JsonRoundTrip,
 TEST(ScanSerializeTest, RoundTripsRealScanData) {
   scenarios::PaperWorld paper;
   const auto geo = paper.world().buildGeoDatabase();
-  scan::BannerIndex index;
-  index.crawl(paper.world(), geo);
-  ASSERT_GT(index.size(), 50u);
+  const auto index = scan::crawlStream(paper.world(), geo);
+  ASSERT_GT(index.docCount(), 50u);
 
-  const auto exported = scan::exportRecords(index.records());
+  const auto exported = scan::exportRecords(index.residentRecords());
   const auto imported = scan::importRecords(exported);
   ASSERT_TRUE(imported);
-  ASSERT_EQ(imported->size(), index.size());
+  ASSERT_EQ(imported->size(), index.docCount());
 
   for (std::size_t i = 0; i < imported->size(); ++i) {
-    const auto& a = index.records()[i];
+    const auto& a = index.residentRecords()[i];
     const auto& b = (*imported)[i];
     EXPECT_EQ(a.ip, b.ip);
     EXPECT_EQ(a.port, b.port);
@@ -207,9 +206,12 @@ TEST(ScanSerializeTest, RoundTripsRealScanData) {
   }
 
   // An imported index searches identically.
-  const auto restored = scan::BannerIndex::fromRecords(std::move(*imported));
-  EXPECT_EQ(restored.search({"netsweeper", std::nullopt}).size(),
-            index.search({"netsweeper", std::nullopt}).size());
+  const auto restored =
+      scan::ShardedBannerIndex::fromRecords(std::move(*imported));
+  for (const std::string keyword : {"netsweeper", "cfru=", "url blocked"})
+    EXPECT_EQ(restored.search({keyword, std::nullopt}),
+              index.search({keyword, std::nullopt}))
+        << keyword;
 }
 
 TEST(ScanSerializeTest, ImportRejectsMalformed) {

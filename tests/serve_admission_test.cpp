@@ -230,4 +230,71 @@ TEST(ServeAdmissionTest, DeeplyNestedBodyIs400OverTheLoop) {
   loop.stop();
 }
 
+TEST(SessionRequestParseTest, IntegerFieldsMustBeInRange) {
+  const auto campaign = [](const char* field, const Json& value) {
+    Json body = Json::object();
+    body["kind"] = Json::string("campaign");
+    body["snapshot"] = Json::string("paper");
+    body[field] = value;
+    return serve::SessionRequest::parse(body);
+  };
+
+  const auto ok = campaign("classify_threads", Json::number(std::int64_t{4}));
+  ASSERT_TRUE(ok) << ok.error();
+  EXPECT_EQ(ok.value().classifyThreads, 4u);
+  const auto armed = campaign("crash_after", Json::number(std::int64_t{7}));
+  ASSERT_TRUE(armed) << armed.error();
+  EXPECT_EQ(armed.value().crashAfter, 7);
+  EXPECT_TRUE(campaign("classify_threads", Json::number(std::int64_t{0})));
+  EXPECT_TRUE(campaign(
+      "classify_threads",
+      Json::number(static_cast<std::int64_t>(
+          serve::SessionRequest::kMaxClassifyThreads))));
+  EXPECT_TRUE(campaign(
+      "crash_after",
+      Json::number(std::int64_t{serve::SessionRequest::kMaxCrashAfter})));
+
+  for (const char* field : {"classify_threads", "crash_after"}) {
+    for (const double bad : {1e300, -1.0, -1e300, 2.5, 0.5, 4294967296.0}) {
+      const auto refused = campaign(field, Json::number(bad));
+      ASSERT_FALSE(refused) << field << "=" << bad;
+      EXPECT_NE(refused.error().find(field), std::string::npos)
+          << refused.error();
+      EXPECT_EQ(refused.error().find('\n'), std::string::npos);
+    }
+  }
+  EXPECT_FALSE(campaign(
+      "classify_threads",
+      Json::number(static_cast<std::int64_t>(
+          serve::SessionRequest::kMaxClassifyThreads + 1))));
+  EXPECT_FALSE(campaign(
+      "crash_after",
+      Json::number(std::int64_t{serve::SessionRequest::kMaxCrashAfter} + 1)));
+}
+
+TEST(ServeAdmissionTest, OutOfRangeIntegerIs400OverTheLoop) {
+  serve::CampaignServer server({.workers = 1});
+  serve::ServerLoop loop(server);
+  auto client = loop.connect();
+
+  http::Request request;
+  request.method = "POST";
+  request.url = *net::Url::parse("http://campaigns.sim/v1/session");
+  request.headers.set("Content-Type", "application/json");
+  request.body =
+      R"({"kind": "campaign", "snapshot": "paper", "crash_after": 1e300})";
+  const auto refused = client->roundTrip(request);
+  ASSERT_TRUE(refused.ok()) << refused.error();
+  EXPECT_EQ(refused.value().statusCode, 400);
+  EXPECT_NE(refused.value().body.find("crash_after"), std::string::npos);
+
+  request.body =
+      R"({"kind": "campaign", "snapshot": "paper", "classify_threads": -1})";
+  const auto negative = client->roundTrip(request);
+  ASSERT_TRUE(negative.ok()) << negative.error();
+  EXPECT_EQ(negative.value().statusCode, 400);
+  EXPECT_NE(negative.value().body.find("classify_threads"), std::string::npos);
+  loop.stop();
+}
+
 }  // namespace

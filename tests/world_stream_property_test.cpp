@@ -3,11 +3,15 @@
 //    exact inverse of host();
 //  - shards() partitions the id space contiguously for any target size;
 //  - crawlStream over a stream-attached world is byte-identical to
-//    BannerIndex::crawl over the eagerly materialized reference world —
-//    records, searches, and identifyAll results all agree, for any shard
-//    granularity.
+//    crawlStream over the eagerly materialized reference world — records,
+//    searches (checked against the oracles linear scan), and identifyAll
+//    results all agree, for any shard granularity;
+//  - eagerly bound surfaces are a crawl-time snapshot: after the world
+//    changes, searches and passive identification still answer from the
+//    crawled banners, while streamed docs are re-materialized.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,9 +19,11 @@
 #include "core/identifier.h"
 #include "core/serialize.h"
 #include "net/cctld.h"
+#include "oracles/linear_scan.h"
 #include "scan/banner_index.h"
 #include "scan/serialize.h"
 #include "scenarios/random_world.h"
+#include "simnet/origin_server.h"
 #include "simnet/world_stream.h"
 
 namespace urlf::simnet {
@@ -109,10 +115,11 @@ TEST(WorldStreamProperty, StreamedCrawlIsByteIdenticalToEagerReference) {
     const auto sharded =
         scan::crawlStream(twins.streamed.world(), geoStreamed, options);
 
-    scan::BannerIndex reference;
-    reference.crawl(twins.eager.world(), geoEager);
+    const auto reference = scan::crawlStream(twins.eager.world(), geoEager);
+    const oracles::LinearBannerScan oracle(reference.residentRecords());
 
-    ASSERT_EQ(sharded.docCount(), reference.size());
+    ASSERT_EQ(sharded.docCount(), reference.docCount());
+    ASSERT_EQ(oracle.size(), reference.docCount());
     ASSERT_GT(sharded.docCount(), 0u);
 
     // Every re-fetched streamed record equals the eagerly crawled one.
@@ -120,7 +127,7 @@ TEST(WorldStreamProperty, StreamedCrawlIsByteIdenticalToEagerReference) {
     for (std::uint32_t doc = 0; doc < sharded.docCount(); ++doc)
       fetched.push_back(sharded.fetchRecord(doc));
     EXPECT_EQ(scan::exportRecords(fetched, 0),
-              scan::exportRecords(reference.records(), 0));
+              scan::exportRecords(oracle.records(), 0));
 
     // The §3.1 keyword×country fan-out returns the same surfaces.
     std::vector<scan::Query> queries;
@@ -132,17 +139,12 @@ TEST(WorldStreamProperty, StreamedCrawlIsByteIdenticalToEagerReference) {
       }
     }
     const auto shardedDocs = sharded.searchAll(queries);
-    const auto referenceHits = reference.searchAll(queries);
-    ASSERT_EQ(shardedDocs.size(), referenceHits.size());
-    for (std::size_t i = 0; i < shardedDocs.size(); ++i) {
-      const auto surface = sharded.surface(shardedDocs[i]);
-      EXPECT_EQ(surface.ip.value(), referenceHits[i]->ip.value());
-      EXPECT_EQ(surface.port, referenceHits[i]->port);
-    }
+    EXPECT_EQ(shardedDocs, oracle.searchAll(queries));
+    EXPECT_EQ(shardedDocs, reference.searchAll(queries));
     EXPECT_GT(shardedDocs.size(), 0u)
         << "bait fraction should have planted keyword candidates";
 
-    EXPECT_EQ(sharded.vocabularySize(), reference.vocabularySize());
+    EXPECT_EQ(sharded.vocabularySize(), oracle.vocabularySize());
   }
 }
 
@@ -152,8 +154,7 @@ TEST(WorldStreamProperty, IdentifyAllAgreesAcrossStreamedAndEagerWorlds) {
   const auto geoEager = twins.eager.world().buildGeoDatabase();
 
   const auto sharded = scan::crawlStream(twins.streamed.world(), geoStreamed);
-  scan::BannerIndex reference;
-  reference.crawl(twins.eager.world(), geoEager);
+  const auto reference = scan::crawlStream(twins.eager.world(), geoEager);
 
   const core::Identifier streamedId(
       twins.streamed.world(), sharded,
@@ -188,6 +189,79 @@ TEST(WorldStreamProperty, SerialAndParallelStreamCrawlsAgree) {
 
   EXPECT_EQ(scan::exportShardedIndex(serial),
             scan::exportShardedIndex(parallel));
+}
+
+TEST(WorldStreamProperty, ResidentDocsAreACrawlTimeSnapshot) {
+  scenarios::RandomWorld random(41, smallWorld());
+  auto& world = random.world();
+  const auto stream = std::make_shared<ProceduralHostStream>(42, smallStream());
+  stream->announceInto(world);
+  world.attachHostStream(stream);
+
+  // A bound console whose banner carries SmartFilter's separator keywords
+  // ("mcafee web gateway", "url blocked") and its title signature.
+  world.createAs(64999, "AS-SNAPSHOT", "Snapshot ISP", "AE",
+                 {net::IpPrefix::parse("203.0.113.0/24").value()});
+  auto& console = world.makeEndpoint<OriginServer>("console.snapshot.example");
+  Page page;
+  page.title = "McAfee Web Gateway";
+  page.body = "<h1>URL Blocked</h1>";
+  console.setPage("/", page);
+  const auto consoleIp = world.allocateAddress(64999);
+  world.bind(consoleIp, 80, console, true);
+
+  const auto geo = world.buildGeoDatabase();
+  const auto index = scan::crawlStream(world, geo);
+  const auto eagerCount =
+      static_cast<std::uint32_t>(world.externalSurfaces().size());
+  ASSERT_EQ(index.residentRecords().size(), eagerCount);
+  ASSERT_GT(index.docCount(), eagerCount);
+  std::uint32_t consoleDoc = 0;
+  while (consoleDoc < eagerCount &&
+         index.surface(consoleDoc).ip.value() != consoleIp.value())
+    ++consoleDoc;
+  ASSERT_LT(consoleDoc, eagerCount);
+
+  const core::Identifier identifier(
+      world, index, fingerprint::Engine::withBuiltinSignatures(), geo,
+      world.buildAsnDatabase());
+  const std::vector<scan::Query> separators = {
+      {"mcafee web gateway", std::nullopt}, {"url blocked", std::nullopt}};
+  const auto hitsBefore = index.searchAll(separators);
+  const auto passiveBefore =
+      core::toJson(identifier.identifyAllPassive()).dump(2);
+  ASSERT_NE(std::find(hitsBefore.begin(), hitsBefore.end(), consoleDoc),
+            hitsBefore.end());
+  ASSERT_NE(passiveBefore.find(consoleIp.toString()), std::string::npos);
+
+  // Change the bound surface after the crawl; a live probe sees the change.
+  page.title = "Plain Blog";
+  page.body = "<h1>nothing to see</h1>";
+  console.setPage("/", page);
+  ASSERT_EQ(scan::probeEndpoint(console, consoleIp, 80, geo, world.now(), 2048)
+                .title,
+            "Plain Blog");
+
+  // Resident docs answer from the crawl-time banners.
+  EXPECT_EQ(index.searchAll(separators), hitsBefore);
+  EXPECT_EQ(index.fetchRecord(consoleDoc).title, "McAfee Web Gateway");
+  EXPECT_EQ(core::toJson(identifier.identifyAllPassive()).dump(2),
+            passiveBefore);
+
+  // Streamed docs are re-materialized through the fetcher: equal to a fresh
+  // probe of the host, and unavailable once the stream is detached.
+  for (std::uint32_t doc = eagerCount; doc < index.docCount(); doc += 97) {
+    const auto host = stream->host(doc - eagerCount);
+    const auto server = WorldStream::materializeEndpoint(host);
+    EXPECT_EQ(scan::exportRecords({index.fetchRecord(doc)}, 0),
+              scan::exportRecords({scan::probeEndpoint(*server, host.ip,
+                                                       host.port, geo,
+                                                       world.now(), 2048)},
+                                  0));
+  }
+  world.attachHostStream(nullptr);
+  EXPECT_THROW((void)index.fetchRecord(eagerCount), std::logic_error);
+  EXPECT_EQ(index.fetchRecord(consoleDoc).title, "McAfee Web Gateway");
 }
 
 }  // namespace

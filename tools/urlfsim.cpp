@@ -304,8 +304,7 @@ int runIdentify(const Options& options) {
   auto& world = paper.world();
   const auto geo = world.buildGeoDatabase(options.worldOptions.geoErrorRate);
   const auto whois = world.buildAsnDatabase();
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
   core::Identifier identifier(world, index,
                               fingerprint::Engine::withBuiltinSignatures(),
                               geo, whois);
@@ -488,9 +487,9 @@ int runDiff(const Options& options, const std::string& baselinePath,
   const auto engine = fingerprint::Engine::withBuiltinSignatures();
 
   const auto baselineIndex =
-      scan::BannerIndex::fromRecords(std::move(*baselineRecords));
+      scan::ShardedBannerIndex::fromRecords(std::move(*baselineRecords));
   const auto currentIndex =
-      scan::BannerIndex::fromRecords(std::move(*currentRecords));
+      scan::ShardedBannerIndex::fromRecords(std::move(*currentRecords));
   core::Identifier fromBaseline(paper.world(), baselineIndex, engine, geo,
                                 whois);
   core::Identifier fromCurrent(paper.world(), currentIndex, engine, geo,
@@ -604,8 +603,7 @@ int runProfile(const Options& options) {
   }
 
   const auto geo = world.buildGeoDatabase();
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
 
   core::ProfilerSources sources;
   sources.index = &index;
@@ -871,9 +869,9 @@ int runMonitorCommand(const Options& options) {
 int runExportScan(const Options& options) {
   scenarios::PaperWorld paper(options.seed, options.worldOptions);
   const auto geo = paper.world().buildGeoDatabase();
-  scan::BannerIndex index;
-  index.crawl(paper.world(), geo);
-  std::printf("%s\n", scan::exportRecords(index.records(), 2).c_str());
+  const auto index = scan::crawlStream(paper.world(), geo);
+  std::printf("%s\n",
+              scan::exportRecords(index.residentRecords(), 2).c_str());
   return 0;
 }
 
