@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
 #include "filters/bluecoat.h"
 #include "filters/category.h"
 #include "filters/category_db.h"
@@ -290,6 +293,138 @@ TEST_F(FiltersFixture, QueueCategorizationEventuallyCategorizes) {
   vendor.processUntil(world.now() + 49);
   EXPECT_TRUE(vendor.masterDb().isCategorized(target));
   EXPECT_EQ(vendor.pendingQueueSize(), 0u);
+}
+
+/// What one run of the vendor-queue script left behind.
+struct VendorScriptOutcome {
+  std::string pendingAfterEachCall;  ///< pendingQueueSize after each call
+  std::string final;  ///< submissions, master DB and queue at the end
+};
+
+/// Interleave submissions and Netsweeper-style queueing at mixed due times
+/// and drive processUntil through every due time. With `idleCalls`, each
+/// due time d is also visited at d-1, twice at d and at d+1, and the script
+/// starts with a call that has nothing due; without, each due time is
+/// visited once. Acceptance and queue drops are coin flips, so a call that
+/// drew from the vendor's RNG with nothing due would shift every later
+/// outcome.
+VendorScriptOutcome runVendorQueueScript(bool idleCalls) {
+  simnet::World world(99);
+  world.createAs(200, "HOST-AS", "Hosting", "US",
+                 {net::IpPrefix::parse("20.0.0.0/16").value()});
+  simnet::HostingProvider hosting(world, 200);
+  VendorConfig config;
+  config.acceptProbability = 0.5;
+  config.queueLatencyHours = 48;
+  config.queueCategorizeProbability = 0.5;
+  Vendor vendor(ProductKind::kNetsweeper, world, config);
+  const auto proxyId = vendor.scheme().byName("Proxy Anonymizer")->id;
+  const auto pornId = vendor.scheme().byName("Pornography")->id;
+
+  std::vector<net::Url> hosts;
+  const auto fresh = [&](simnet::ContentProfile profile) {
+    hosts.push_back(
+        url(("http://" + hosting.createFreshDomain(profile).hostname + "/")
+                .c_str()));
+    return hosts.back();
+  };
+  std::vector<util::SimTime> dues;
+  const auto queue = [&](const net::Url& target, util::SimTime now) {
+    const auto before = vendor.pendingQueueSize();
+    vendor.queueForCategorization(target, now);
+    if (vendor.pendingQueueSize() != before)
+      dues.push_back(now + config.queueLatencyHours);
+  };
+
+  VendorScriptOutcome out;
+  const auto process = [&](util::SimTime now) {
+    vendor.processUntil(now);
+    out.pendingAfterEachCall += std::to_string(vendor.pendingQueueSize());
+    out.pendingAfterEachCall += ',';
+  };
+  // Visit every due time up to `until`, in order, then forget them.
+  const auto drive = [&](util::SimTime until) {
+    for (const auto& s : vendor.submissions())
+      if (s.state == Submission::State::kPending) dues.push_back(s.reviewAt);
+    std::sort(dues.begin(), dues.end());
+    dues.erase(std::unique(dues.begin(), dues.end()), dues.end());
+    for (const auto due : dues) {
+      if (due > until) continue;
+      if (idleCalls) process(due - 1);
+      process(due);
+      if (idleCalls) {
+        process(due);
+        process(due + 1);
+      }
+    }
+    std::erase_if(dues, [&](util::SimTime due) { return due <= until; });
+  };
+
+  const auto t0 = world.now();
+  if (idleCalls) process(t0);
+  const auto proxyA = fresh(simnet::ContentProfile::kGlypeProxy);
+  vendor.submitUrl(proxyA, proxyId, "a@example.org");
+  const auto benign = fresh(simnet::ContentProfile::kBenign);
+  vendor.submitUrl(benign, proxyId, "b@example.org");
+  const auto queuedA = fresh(simnet::ContentProfile::kGlypeProxy);
+  queue(queuedA, t0);
+  queue(queuedA, t0 + 3);  // duplicate host: ignored
+  const auto queuedB = fresh(simnet::ContentProfile::kAdultImage);
+  queue(queuedB, t0 + 30);
+  world.clock().advanceHours(10);
+  const auto proxyB = fresh(simnet::ContentProfile::kGlypeProxy);
+  vendor.submitUrl(proxyB, pornId, "c@example.org");
+  const auto adult = fresh(simnet::ContentProfile::kAdultImage);
+  vendor.submitUrl(adult, pornId, "d@example.org");
+  const auto queuedC = fresh(simnet::ContentProfile::kBenign);
+  queue(queuedC, t0 + 10);
+  drive(t0 + 90);
+
+  // Second wave while the first is part-way through review.
+  world.clock().advanceHours(60);
+  const auto proxyC = fresh(simnet::ContentProfile::kGlypeProxy);
+  vendor.submitUrl(proxyC, proxyId, "e@example.org");
+  vendor.submitUrl(fresh(simnet::ContentProfile::kNews), proxyId,
+                   "f@example.org");
+  queue(queuedA, t0 + 70);  // re-queued only if its first crawl was dropped
+  queue(queuedB, t0 + 71);
+  queue(fresh(simnet::ContentProfile::kGlypeProxy), t0 + 72);
+  queue(fresh(simnet::ContentProfile::kAdultImage), t0 + 100);
+  queue(proxyA, t0 + 101);  // already categorized if its review accepted it
+  drive(t0 + 1000);
+
+  std::ostringstream final;
+  for (const auto& s : vendor.submissions())
+    final << s.ticket << ':' << static_cast<int>(s.state) << ':'
+          << s.suggestedCategory << ':' << s.note << '\n';
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    final << 'h' << i << '=';
+    for (const auto category : vendor.masterDb().categorize(hosts[i]))
+      final << category << ';';
+    final << '\n';
+  }
+  final << "pending=" << vendor.pendingQueueSize() << '\n';
+  out.final = final.str();
+  return out;
+}
+
+TEST(VendorQueueTest, InterleavedDueTimesPinnedAndIdleCallsDrawNothing) {
+  const auto dense = runVendorQueueScript(/*idleCalls=*/true);
+  const auto sparse = runVendorQueueScript(/*idleCalls=*/false);
+  EXPECT_EQ(dense.final, sparse.final);
+  EXPECT_EQ(dense.final,
+            "1:1:43:added to database\n"
+            "2:2:43:content did not classify\n"
+            "3:2:43:rejected by reviewer\n"
+            "4:1:23:added to database\n"
+            "5:1:43:added to database\n"
+            "6:1:18:added to database\n"
+            "h0=43;\nh1=\nh2=43;\nh3=23;\nh4=\nh5=23;\nh6=\nh7=43;\nh8=18;\n"
+            "h9=\nh10=\npending=0\n");
+  EXPECT_EQ(dense.pendingAfterEachCall,
+            "0,3,2,2,2,2,1,1,1,1,0,0,0,2,2,2,2,2,2,2,2,2,1,1,1,1,1,1,1,1,1,1,"
+            "0,0,0,0,0,0,0,0,0,");
+  EXPECT_EQ(sparse.pendingAfterEachCall, "2,1,0,2,2,1,1,1,0,0,");
 }
 
 TEST_F(FiltersFixture, ClassifyContentMarkers) {
