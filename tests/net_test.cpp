@@ -33,6 +33,22 @@ TEST(Ipv4Test, RejectsMalformed) {
   EXPECT_FALSE(Ipv4Addr::parse(" 1.2.3.4"));
 }
 
+TEST(Ipv4Test, RejectsEveryMalformedShape) {
+  for (const char* text :
+       {".1.2.3.4", "1..2.3", "1.2.3.4.", "1.2.3.4.5", "1.2.3.4.5.6", "...",
+        "256.1.2.3", "1.2.3.256", "999.1.1.1", "1234.1.1.1", "01.2.3.4",
+        "1.02.3.4", "1.2.3.00", "+1.2.3.4", "1.+2.3.4", "-1.2.3.4",
+        "1.2.3.4 ", "1.2.3.4/24", "1.2.3.0x1", "1,2,3,4"})
+    EXPECT_FALSE(Ipv4Addr::parse(text)) << text;
+}
+
+TEST(Ipv4Test, AcceptsBoundaryOctets) {
+  EXPECT_EQ(Ipv4Addr::parse("0.0.0.0")->value(), 0u);
+  EXPECT_EQ(Ipv4Addr::parse("255.255.255.255")->value(), 0xFFFFFFFFu);
+  EXPECT_EQ(Ipv4Addr::parse("10.0.100.200"), Ipv4Addr(10, 0, 100, 200));
+  EXPECT_EQ(Ipv4Addr::parse("1.20.0.9"), Ipv4Addr(1, 20, 0, 9));
+}
+
 TEST(Ipv4Test, Ordering) {
   EXPECT_LT(Ipv4Addr(10, 0, 0, 1), Ipv4Addr(10, 0, 0, 2));
   EXPECT_EQ(Ipv4Addr(10, 0, 0, 1).next(), Ipv4Addr(10, 0, 0, 2));
@@ -127,6 +143,56 @@ TEST(UrlTest, IpLiteralHost) {
   ASSERT_TRUE(url);
   EXPECT_EQ(url->host(), "10.0.0.1");
   EXPECT_EQ(url->explicitPort(), 8080);
+}
+
+TEST(UrlTest, SchemeIsCaseInsensitive) {
+  const auto upper = Url::parse("HTTP://example.com/Page");
+  ASSERT_TRUE(upper);
+  EXPECT_EQ(upper->scheme(), "http");
+  EXPECT_EQ(upper->toString(), "http://example.com/Page");
+  const auto mixed = Url::parse("HtTpS://Secure.Example.COM:8443/Login?A=B");
+  ASSERT_TRUE(mixed);
+  EXPECT_EQ(mixed->scheme(), "https");
+  EXPECT_EQ(mixed->host(), "secure.example.com");
+  EXPECT_EQ(mixed->explicitPort(), 8443);
+  EXPECT_EQ(mixed->toString(), "https://secure.example.com:8443/Login?A=B");
+  EXPECT_FALSE(Url::parse("HTTPX://example.com/"));
+  EXPECT_FALSE(Url::parse("HTTP:/example.com/"));
+  EXPECT_FALSE(Url::parse("HTTPS//example.com/"));
+}
+
+TEST(UrlTest, SurroundingWhitespaceIsTrimmed) {
+  const auto url = Url::parse(" \t http://Example.com/a?b=1 \r\n");
+  ASSERT_TRUE(url);
+  EXPECT_EQ(url->toString(), "http://example.com/a?b=1");
+  EXPECT_FALSE(Url::parse("http:// example.com/"));
+  EXPECT_FALSE(Url::parse("http://exam ple.com/"));
+}
+
+TEST(UrlTest, IpLiteralHostsWithPorts) {
+  const auto blockPage =
+      Url::parse("http://10.9.0.8:15871/cgi-bin/blockpage.cgi?ws-session=7");
+  ASSERT_TRUE(blockPage);
+  EXPECT_EQ(blockPage->host(), "10.9.0.8");
+  EXPECT_EQ(blockPage->explicitPort(), 15871);
+  EXPECT_EQ(blockPage->query(), "ws-session=7");
+  const auto tls = Url::parse("HTTPS://192.0.2.7:443/");
+  ASSERT_TRUE(tls);
+  EXPECT_EQ(tls->host(), "192.0.2.7");
+  EXPECT_EQ(tls->explicitPort(), 443);
+  EXPECT_EQ(tls->toString(), "https://192.0.2.7:443/");
+  // Not a dotted quad, but still a well-formed hostname.
+  EXPECT_EQ(Url::parse("http://01.2.3.4/")->host(), "01.2.3.4");
+  EXPECT_FALSE(Url::parse("http://1.2.3.4.:80/"));
+  EXPECT_FALSE(Url::parse("http://1.2.3.4:/"));
+}
+
+TEST(UrlTest, UpperCaseHostComesOutLowercase) {
+  const auto url = Url::parse("http://WWW.CFAUTH.COM:8080/?cfru=AbC");
+  ASSERT_TRUE(url);
+  EXPECT_EQ(url->host(), "www.cfauth.com");
+  EXPECT_EQ(url->query(), "cfru=AbC");  // query case preserved
+  EXPECT_EQ(*url, *Url::parse("http://www.cfauth.com:8080/?cfru=AbC"));
 }
 
 TEST(UrlTest, RejectsMalformed) {
