@@ -326,4 +326,16 @@ std::optional<Json> Json::parse(std::string_view text) {
   return Parser(text).run();
 }
 
+std::optional<std::int64_t> boundedInteger(double value, std::int64_t min,
+                                           std::int64_t max) {
+  // 2^63 is the first double past int64's range (static_cast<double> of
+  // INT64_MAX rounds up to it), so compare against it before casting.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (!(value >= -kTwo63 && value < kTwo63) || value != std::floor(value))
+    return std::nullopt;
+  const auto integer = static_cast<std::int64_t>(value);
+  if (integer < min || integer > max) return std::nullopt;
+  return integer;
+}
+
 }  // namespace urlf::report

@@ -1,7 +1,9 @@
 #ifndef URLF_REPORT_JSON_H
 #define URLF_REPORT_JSON_H
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -70,6 +72,13 @@ class Json {
   }
   [[nodiscard]] const bool* asBool() const { return std::get_if<bool>(&value_); }
 
+  /// Read the member `key`, a count or a duration, into `out`, checked by
+  /// boundedInteger against [0, the largest Int]. Returns false when the
+  /// member is a number outside that; an absent or non-numeric member, like
+  /// a refused one, leaves `out` as it is.
+  template <typename Int>
+  [[nodiscard]] bool readCount(const std::string& key, Int& out) const;
+
   /// Serialize. `indent` > 0 pretty-prints with that many spaces per level.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
@@ -90,6 +99,25 @@ class Json {
 
   Value value_;
 };
+
+/// `value` as an integer in [min, max]; nullopt when it is fractional, NaN
+/// or out of range. Casting such a double straight to an integer is
+/// undefined, so every integer read from JSON goes through here.
+[[nodiscard]] std::optional<std::int64_t> boundedInteger(double value,
+                                                         std::int64_t min,
+                                                         std::int64_t max);
+
+template <typename Int>
+bool Json::readCount(const std::string& key, Int& out) const {
+  const Json* member = find(key);
+  if (member == nullptr || member->asNumber() == nullptr) return true;
+  constexpr auto kMax = static_cast<std::int64_t>(
+      std::min<std::uintmax_t>(std::numeric_limits<Int>::max(),
+                               std::numeric_limits<std::int64_t>::max()));
+  const auto value = boundedInteger(*member->asNumber(), 0, kMax);
+  if (value) out = static_cast<Int>(*value);
+  return value.has_value();
+}
 
 }  // namespace urlf::report
 

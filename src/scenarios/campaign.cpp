@@ -203,6 +203,11 @@ util::Expected<CampaignOptions> CampaignOptions::fromHeaderJson(
   else
     return Result::failure("journal header has no valid seed");
 
+  std::string badCount;  // the first count field that is out of range
+  const auto count = [&](const Json& object, const char* key, auto& out) {
+    if (!object.readCount(key, out) && badCount.empty()) badCount = key;
+  };
+
   if (const auto* worldJson = header.find("world");
       worldJson && worldJson->isObject()) {
     const auto boolean = [&](const char* key, bool& out) {
@@ -220,20 +225,16 @@ util::Expected<CampaignOptions> CampaignOptions::fromHeaderJson(
     if (const auto seed = u64FromJson(worldJson->find("fault_seed")))
       options.world.faultSeed = *seed;
     boolean("packet_mechanisms", options.world.packetMechanisms);
-    if (const auto* v = worldJson->find("rst_hold_down_hours");
-        v && v->asNumber())
-      options.world.rstHoldDownHours = static_cast<int>(*v->asNumber());
+    count(*worldJson, "rst_hold_down_hours", options.world.rstHoldDownHours);
     if (const auto* v = worldJson->find("interference_rate");
         v && v->asNumber())
       options.world.interferenceRate = *v->asNumber();
     if (const auto seed = u64FromJson(worldJson->find("interference_seed")))
       options.world.interferenceSeed = *seed;
-    if (const auto* v = worldJson->find("quorum_vantages"); v && v->asNumber())
-      options.world.quorumVantages = static_cast<int>(*v->asNumber());
+    count(*worldJson, "quorum_vantages", options.world.quorumVantages);
   }
 
-  if (const auto* v = header.find("quorum"); v && v->asNumber())
-    options.quorum = static_cast<int>(*v->asNumber());
+  count(header, "quorum", options.quorum);
   if (const auto* v = header.find("hedge"); v && v->asBool())
     options.hedge = *v->asBool();
 
@@ -241,13 +242,12 @@ util::Expected<CampaignOptions> CampaignOptions::fromHeaderJson(
       healthJson && healthJson->isObject()) {
     if (const auto* v = healthJson->find("enabled"); v && v->asBool())
       options.healthEnabled = *v->asBool();
-    if (const auto* v = healthJson->find("failure_threshold");
-        v && v->asNumber())
-      options.breaker.failureThreshold = static_cast<int>(*v->asNumber());
-    if (const auto* v = healthJson->find("cooldown_hours"); v && v->asNumber())
-      options.breaker.cooldownHours =
-          static_cast<std::int64_t>(*v->asNumber());
+    count(*healthJson, "failure_threshold", options.breaker.failureThreshold);
+    count(*healthJson, "cooldown_hours", options.breaker.cooldownHours);
   }
+  if (!badCount.empty())
+    return Result::failure("journal header field '" + badCount +
+                           "' is not a non-negative integer");
 
   if (const auto* outagesJson = header.find("outages")) {
     auto spec = OutageSpec::fromJson(*outagesJson);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -74,9 +75,20 @@ std::optional<std::uint64_t> hex16FromJson(const Json* json) {
   return value;
 }
 
-std::optional<std::int64_t> i64FromJson(const Json* json) {
+/// The integer at `json` if it is one in [min, max]; nullopt when absent,
+/// not a number, fractional or out of range.
+std::optional<std::int64_t> i64FromJson(
+    const Json* json,
+    std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
   if (json == nullptr || !json->asNumber()) return std::nullopt;
-  return static_cast<std::int64_t>(*json->asNumber());
+  return report::boundedInteger(*json->asNumber(), min, max);
+}
+
+/// i64FromJson over the range of int.
+std::optional<std::int64_t> intFromJson(const Json* json) {
+  return i64FromJson(json, std::numeric_limits<int>::min(),
+                     std::numeric_limits<int>::max());
 }
 
 std::optional<filters::ProductKind> productFromString(std::string_view name) {
@@ -163,6 +175,11 @@ util::Expected<MonitorOptions> MonitorOptions::fromHeaderJson(
   else
     return Result::failure("checkpoint header has no valid seed");
 
+  std::string badCount;  // the first count field that is out of range
+  const auto count = [&](const Json& object, const char* key, auto& out) {
+    if (!object.readCount(key, out) && badCount.empty()) badCount = key;
+  };
+
   if (const auto* worldJson = header.find("world");
       worldJson && worldJson->isObject()) {
     const auto boolean = [&](const char* key, bool& out) {
@@ -182,8 +199,7 @@ util::Expected<MonitorOptions> MonitorOptions::fromHeaderJson(
       options.streamHosts = *hosts;
     if (const auto per = u64FromJson(streamJson->find("hosts_per_shard")))
       options.hostsPerShard = *per;
-    if (const auto c = i64FromJson(streamJson->find("countries")))
-      options.streamCountries = static_cast<int>(*c);
+    count(*streamJson, "countries", options.streamCountries);
     if (const auto* v = streamJson->find("bait_fraction"); v && v->asNumber())
       options.baitFraction = *v->asNumber();
   }
@@ -194,11 +210,11 @@ util::Expected<MonitorOptions> MonitorOptions::fromHeaderJson(
       options.churn.rebrandRate = *v->asNumber();
     if (const auto* v = churnJson->find("park_rate"); v && v->asNumber())
       options.churn.parkRate = *v->asNumber();
-    if (const auto m = i64FromJson(churnJson->find("db_mutations_per_tick")))
-      options.churn.dbMutationsPerTick = static_cast<int>(*m);
+    count(*churnJson, "db_mutations_per_tick",
+          options.churn.dbMutationsPerTick);
   }
 
-  if (const auto h = i64FromJson(header.find("tick_hours")))
+  if (const auto h = i64FromJson(header.find("tick_hours"), 0))
     options.tickHours = *h;
   else
     return Result::failure("checkpoint header has no valid tick_hours");
@@ -211,11 +227,12 @@ util::Expected<MonitorOptions> MonitorOptions::fromHeaderJson(
       healthJson && healthJson->isObject()) {
     if (const auto* v = healthJson->find("enabled"); v && v->asBool())
       options.healthEnabled = *v->asBool();
-    if (const auto t = i64FromJson(healthJson->find("failure_threshold")))
-      options.breaker.failureThreshold = static_cast<int>(*t);
-    if (const auto c = i64FromJson(healthJson->find("cooldown_hours")))
-      options.breaker.cooldownHours = *c;
+    count(*healthJson, "failure_threshold", options.breaker.failureThreshold);
+    count(*healthJson, "cooldown_hours", options.breaker.cooldownHours);
   }
+  if (!badCount.empty())
+    return Result::failure("checkpoint header field '" + badCount +
+                           "' is not a non-negative integer");
   return options;
 }
 
@@ -757,8 +774,9 @@ MonitorSession::resumeFromJournal(CampaignJournal journal, MonitorMode mode,
   if (type == nullptr || !type->asString() ||
       *type->asString() != "monitor-state")
     return Result::failure("monitor resume: last record is not monitor-state");
-  const auto tickValue = i64FromJson(state.find("tick"));
-  if (!tickValue || *tickValue < 0)
+  const auto tickValue =
+      i64FromJson(state.find("tick"), 0, std::numeric_limits<int>::max());
+  if (!tickValue)
     return Result::failure("monitor resume: state record has no valid tick");
   const int tick = static_cast<int>(*tickValue);
   const auto chain = hex16FromJson(state.find("chain"));
@@ -792,7 +810,7 @@ MonitorSession::resumeFromJournal(CampaignJournal journal, MonitorMode mode,
   for (const auto& entry : *installations->asArray()) {
     const auto* productName = entry.find("product");
     const auto* ipText = entry.find("ip");
-    const auto port = i64FromJson(entry.find("port"));
+    const auto port = i64FromJson(entry.find("port"), 0, 65535);
     const auto* country = entry.find("country");
     const auto certaintyBits = u64FromJson(entry.find("certainty_bits"));
     if (productName == nullptr || !productName->asString() ||
@@ -826,12 +844,12 @@ MonitorSession::resumeFromJournal(CampaignJournal journal, MonitorMode mode,
   for (const auto& entry : *verdicts->asArray()) {
     const auto* vantage = entry.find("vantage");
     const auto* url = entry.find("url");
-    const auto verdict = i64FromJson(entry.find("verdict"));
-    const auto provenance = i64FromJson(entry.find("provenance"));
+    const auto verdict = intFromJson(entry.find("verdict"));
+    const auto provenance = intFromJson(entry.find("provenance"));
     const auto* blockProduct = entry.find("block_product");
     const auto* pattern = entry.find("pattern");
-    const auto outcome = i64FromJson(entry.find("field_outcome"));
-    const auto status = i64FromJson(entry.find("field_status"));
+    const auto outcome = intFromJson(entry.find("field_outcome"));
+    const auto status = intFromJson(entry.find("field_status"));
     if (vantage == nullptr || !vantage->asString() || url == nullptr ||
         !url->asString() || !verdict || !provenance ||
         blockProduct == nullptr || !blockProduct->asString() ||
@@ -859,14 +877,14 @@ MonitorSession::resumeFromJournal(CampaignJournal journal, MonitorMode mode,
       healthEntries && healthEntries->isArray()) {
     for (const auto& entry : *healthEntries->asArray()) {
       const auto* name = entry.find("vantage");
-      const auto breakerState = i64FromJson(entry.find("state"));
-      const auto failures = i64FromJson(entry.find("failures"));
+      const auto breakerState = i64FromJson(entry.find("state"), 0, 2);
+      const auto failures = intFromJson(entry.find("failures"));
       const auto openedAt = i64FromJson(entry.find("opened_at"));
       const auto allowed = u64FromJson(entry.find("allowed"));
       const auto quarantined = u64FromJson(entry.find("quarantined"));
       const auto timesOpened = u64FromJson(entry.find("times_opened"));
       if (name == nullptr || !name->asString() || !breakerState ||
-          *breakerState < 0 || *breakerState > 2 || !failures || !openedAt ||
+          !failures || !openedAt ||
           !allowed || !quarantined || !timesOpened)
         return Result::failure("monitor resume: malformed health record");
       session->health_.of(*name->asString())

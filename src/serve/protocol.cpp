@@ -1,6 +1,5 @@
 #include "serve/protocol.h"
 
-#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -11,18 +10,6 @@
 namespace urlf::serve {
 
 using report::Json;
-
-namespace {
-
-/// `value` as an integer in [0, max]; nullopt when it is fractional, out of
-/// range or NaN (casting such a double to an integer is undefined).
-std::optional<std::int64_t> boundedInteger(double value, std::int64_t max) {
-  if (!(value >= 0.0 && value <= static_cast<double>(max))) return std::nullopt;
-  if (value != std::floor(value)) return std::nullopt;
-  return static_cast<std::int64_t>(value);
-}
-
-}  // namespace
 
 util::Expected<SessionRequest> SessionRequest::parse(const Json& body) {
   using Result = util::Expected<SessionRequest>;
@@ -46,7 +33,8 @@ util::Expected<SessionRequest> SessionRequest::parse(const Json& body) {
 
   if (const auto* v = body.find("classify_threads"); v && v->asNumber()) {
     const auto threads =
-        boundedInteger(*v->asNumber(), std::int64_t{kMaxClassifyThreads});
+        report::boundedInteger(*v->asNumber(), 0,
+                               std::int64_t{kMaxClassifyThreads});
     if (!threads)
       return Result::failure("classify_threads must be an integer in [0, " +
                              std::to_string(kMaxClassifyThreads) + "]");
@@ -57,7 +45,8 @@ util::Expected<SessionRequest> SessionRequest::parse(const Json& body) {
   if (const auto* v = body.find("resume"); v && v->asBool())
     request.resume = *v->asBool();
   if (const auto* v = body.find("crash_after"); v && v->asNumber()) {
-    const auto appends = boundedInteger(*v->asNumber(), kMaxCrashAfter);
+    const auto appends =
+        report::boundedInteger(*v->asNumber(), 0, kMaxCrashAfter);
     if (!appends)
       return Result::failure("crash_after must be an integer in [0, " +
                              std::to_string(kMaxCrashAfter) + "]");

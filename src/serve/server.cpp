@@ -38,8 +38,9 @@ util::Expected<SnapshotSpec> specFromHeader(const Json& header) {
   SnapshotSpec spec;
   if (const auto* name = header.find("snapshot"); name && name->asString())
     spec.name = *name->asString();
-  if (const auto* epoch = header.find("epoch"); epoch && epoch->asNumber())
-    spec.epoch = static_cast<std::uint64_t>(*epoch->asNumber());
+  if (!header.readCount("epoch", spec.epoch))
+    return Result::failure("journal header field 'epoch' is not a "
+                           "non-negative integer");
 
   const auto* campaign = header.find("campaign");
   if (campaign == nullptr)

@@ -210,6 +210,45 @@ TEST_F(CampaignRecoveryTest, MechanismCampaignResumeKeepsCausesDistinct) {
   EXPECT_EQ(readFile(path), fullText);
 }
 
+TEST_F(CampaignRecoveryTest, OutOfRangeHeaderIntegersAreRefusedOnResume) {
+  // A JSON number is a double: 1e300, -1 and 2.5 have no int value, and
+  // casting them would be undefined. Resume refuses each with one line.
+  const report::Json clean = scenarios::CampaignOptions{}.headerJson();
+  struct Field {
+    const char* object;  ///< nested object, or nullptr for the top level
+    const char* key;
+  };
+  const Field fields[] = {{"world", "rst_hold_down_hours"},
+                          {"world", "quorum_vantages"},
+                          {nullptr, "quorum"},
+                          {"health", "failure_threshold"},
+                          {"health", "cooldown_hours"}};
+  const fs::path path = dir_ / "bad_integer.journal";
+  for (const auto& field : fields) {
+    for (const double bad : {1e300, -1.0, 2.5}) {
+      report::Json header = clean;
+      report::Json& holder =
+          field.object != nullptr ? header[field.object] : header;
+      holder[field.key] = report::Json::number(bad);
+      (void)CampaignJournal::start(path.string(), header);
+      auto opened = CampaignJournal::open(path.string());
+      ASSERT_TRUE(opened.ok()) << opened.error();
+      const auto adopted =
+          scenarios::CampaignOptions::fromHeaderJson(opened->header());
+      ASSERT_FALSE(adopted.ok()) << field.key << " = " << bad;
+      EXPECT_NE(adopted.error().find(field.key), std::string::npos)
+          << adopted.error();
+      EXPECT_EQ(adopted.error().find('\n'), std::string::npos);
+    }
+  }
+  // An in-range header still adopts.
+  report::Json header = clean;
+  header["quorum"] = report::Json::number(std::int64_t{2});
+  const auto adopted = scenarios::CampaignOptions::fromHeaderJson(header);
+  ASSERT_TRUE(adopted.ok()) << adopted.error();
+  EXPECT_EQ(adopted.value().quorum, 2);
+}
+
 TEST_F(CampaignRecoveryTest, DivergentConfigIsCaughtNotSilentlyAccepted) {
   // Resume whose re-execution disagrees with the journaled records must die
   // loudly with JournalDivergence — never blend two campaigns' histories.

@@ -188,6 +188,49 @@ TEST_F(MonitorCorruptionFixture, SampledBitFlipsFail) {
   }
 }
 
+TEST_F(MonitorCorruptionFixture, OutOfRangeIntegersAreRefusedWithOneLine) {
+  // Well-formed journals whose integer fields hold a double with no
+  // integer value: each is refused, never cast.
+  auto intact = CampaignJournal::fromText(text_);
+  ASSERT_TRUE(intact.ok()) << intact.error();
+  const report::Json header = intact.value().header();
+  const report::Json state = intact.value().records().back();
+  const auto resumeWith = [](const report::Json& h, const report::Json& s) {
+    auto journal = CampaignJournal::start("", h);
+    journal.sync(s);
+    auto resumed = MonitorSession::resumeFromJournal(
+        std::move(journal), MonitorMode::kIncremental, 0);
+    return resumed.ok() ? std::string() : resumed.error();
+  };
+  ASSERT_EQ(resumeWith(header, state), "");
+
+  struct Field {
+    const char* object;  ///< nested object, or nullptr for the top level
+    const char* key;
+  };
+  const Field headerFields[] = {{nullptr, "tick_hours"},
+                                {"stream", "countries"},
+                                {"churn", "db_mutations_per_tick"},
+                                {"health", "failure_threshold"},
+                                {"health", "cooldown_hours"}};
+  for (const double bad : {1e300, -1.0, 2.5}) {
+    for (const auto& field : headerFields) {
+      report::Json tampered = header;
+      report::Json& holder =
+          field.object != nullptr ? tampered[field.object] : tampered;
+      holder[field.key] = report::Json::number(bad);
+      const auto error = resumeWith(tampered, state);
+      EXPECT_TRUE(oneLine(error)) << field.key << " = " << bad;
+      EXPECT_NE(error.find(field.key), std::string::npos) << error;
+    }
+    report::Json tampered = state;
+    tampered["tick"] = report::Json::number(bad);
+    const auto error = resumeWith(header, tampered);
+    EXPECT_TRUE(oneLine(error)) << "tick = " << bad;
+    EXPECT_NE(error.find("tick"), std::string::npos) << error;
+  }
+}
+
 TEST_F(MonitorCorruptionFixture, ForeignHeaderIsRejected) {
   report::Json header = report::Json::object();
   header["type"] = report::Json::string("campaign-config");

@@ -189,6 +189,36 @@ TEST_F(ServeRecoveryTest, HeaderWorldMismatchIsDivergence409) {
   EXPECT_EQ(server.stats().divergences, 1u);
 }
 
+TEST_F(ServeRecoveryTest, ResumeRefusesOutOfRangeHeaderIntegers) {
+  // The epoch and the campaign header's counts come from a file any client
+  // can name; a double with no integer value is a 400, never a cast.
+  serve::CampaignServer server({.workers = 1});
+  const fs::path path = dir_ / "bad_integer.journal";
+  int refused = 0;
+  for (const double bad : {1e300, -1.0, 2.5}) {
+    for (const bool inEpoch : {true, false}) {
+      Json header = Json::object();
+      header["type"] = Json::string("serve-session");
+      header["version"] = Json::number(std::int64_t{1});
+      header["snapshot"] = Json::string("paper");
+      header["epoch"] = Json::number(inEpoch ? bad : 0.0);
+      header["campaign"] = scenarios::CampaignOptions{}.headerJson();
+      if (!inEpoch) header["campaign"]["quorum"] = Json::number(bad);
+      header["overlay"] = Json::array();
+      (void)CampaignJournal::start(path.string(), header);
+
+      const auto resumed = server.handle(
+          post("/v1/session", campaignBody(path.string(), true)));
+      EXPECT_EQ(resumed.statusCode, 400) << resumed.body;
+      const std::string error = stringField(resumed, "error");
+      EXPECT_NE(error.find(inEpoch ? "epoch" : "quorum"), std::string::npos)
+          << error;
+      ++refused;
+    }
+  }
+  EXPECT_EQ(server.stats().badRequests, static_cast<std::uint64_t>(refused));
+}
+
 TEST_F(ServeRecoveryTest, ResumeRejectsForeignAndMissingJournals) {
   serve::CampaignServer server({.workers = 1});
   server.addSnapshot("paper");
