@@ -94,12 +94,14 @@ simnet::Cacheability Deployment::cacheability(
 
 bool Deployment::isOwnServiceTraffic(const http::Request& request) const {
   if (serviceIp_ == net::Ipv4Addr{}) return false;
-  return request.url.host() == serviceIp_.toString();
+  // Only a canonical dotted quad parses, so this equals comparing the host
+  // with serviceIp_'s text, without formatting it per request.
+  return net::Ipv4Addr::parse(request.url.host()) == serviceIp_;
 }
 
 std::optional<simnet::Preempt> Deployment::onRequest(
     simnet::PathContext& path) {
-  http::Request& request = path.request;
+  const http::Request& request = path.request();
   const simnet::InterceptContext& ctx = path.policy;
   // Vendor-side queues advance lazily with simulated time.
   vendor_->processUntil(ctx.now);
@@ -109,7 +111,7 @@ std::optional<simnet::Preempt> Deployment::onRequest(
 
   if (auto action = preIntercept(request, ctx)) return action;
 
-  if (isOffline(ctx)) return onPassThrough(request, ctx);
+  if (isOffline(ctx)) return std::nullopt;
 
   // Per-request fast path: one reused scratch set, no node allocations.
   // The common outcome — uncategorized, pass through — touches the heap
@@ -129,8 +131,7 @@ std::optional<simnet::Preempt> Deployment::onRequest(
 
   if (policy_.queueAccessedUrls && categories.empty())
     vendor_->queueForCategorization(request.url, ctx.now);
-
-  return onPassThrough(request, ctx);
+  return std::nullopt;
 }
 
 }  // namespace urlf::filters

@@ -47,7 +47,7 @@ class Deployment : public simnet::Middlebox {
   /// snapshot from here on (Websense/Yemen 2009 [35]).
   void freezeUpdates();
 
-  /// Classify `ctx.request` under the policy view `ctx.policy` and block
+  /// Classify `ctx.request()` under the policy view `ctx.policy` and block
   /// per the operator's policy.
   std::optional<simnet::Preempt> onRequest(simnet::PathContext& ctx) override;
 
@@ -93,20 +93,10 @@ class Deployment : public simnet::Middlebox {
       const http::Request& request, const std::set<CategoryId>& blockedCategories,
       const simnet::InterceptContext& ctx) = 0;
 
-  /// Hook for products that annotate allowed traffic (proxy Via headers) or
-  /// special-case certain hosts. Called when the standard path does not
-  /// block. Default: let the request through untouched.
-  [[nodiscard]] virtual std::optional<simnet::Preempt> onPassThrough(
-      http::Request& request, const simnet::InterceptContext& ctx) {
-    (void)request;
-    (void)ctx;
-    return std::nullopt;
-  }
-
   /// Hook consulted before everything else; lets products claim a request
   /// outright (e.g. Netsweeper's denypagetests category probes).
   [[nodiscard]] virtual std::optional<simnet::Preempt> preIntercept(
-      http::Request& request, const simnet::InterceptContext& ctx) {
+      const http::Request& request, const simnet::InterceptContext& ctx) {
     (void)request;
     (void)ctx;
     return std::nullopt;

@@ -60,7 +60,7 @@ http::Response NetsweeperDeployment::makeDenyPage(
 }
 
 std::optional<simnet::Preempt> NetsweeperDeployment::preIntercept(
-    http::Request& request, const simnet::InterceptContext& /*ctx*/) {
+    const http::Request& request, const simnet::InterceptContext& /*ctx*/) {
   // Operator configuration-test tool (§4.4): requesting
   // denypagetests.netsweeper.com/category/catno/<N> yields the deny page
   // exactly when category N is blocked here; otherwise the request passes

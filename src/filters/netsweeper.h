@@ -34,7 +34,8 @@ class NetsweeperDeployment : public Deployment {
 
  protected:
   std::optional<simnet::Preempt> preIntercept(
-      http::Request& request, const simnet::InterceptContext& ctx) override;
+      const http::Request& request,
+      const simnet::InterceptContext& ctx) override;
 
   simnet::Preempt buildBlockAction(
       const http::Request& request, const std::set<CategoryId>& blockedCategories,

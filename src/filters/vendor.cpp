@@ -176,36 +176,46 @@ int Vendor::submitUrl(const net::Url& url, CategoryId suggestedCategory,
       rng_.uniform(static_cast<std::uint64_t>(config_.reviewLatencyMinHours),
                    static_cast<std::uint64_t>(config_.reviewLatencyMaxHours)));
   s.reviewAt = s.submittedAt + latency;
+  nextDue_ = std::min(nextDue_, s.reviewAt);
   submissions_.push_back(std::move(s));
   return submissions_.back().ticket;
 }
 
 void Vendor::queueForCategorization(const net::Url& url, util::SimTime now) {
   // De-duplicate: one pending crawl per host.
-  const auto already =
-      std::any_of(queue_.begin(), queue_.end(), [&](const QueuedUrl& q) {
-        return q.url.host() == url.host();
-      });
-  if (already || masterDb_.isCategorized(url)) return;
+  if (queuedHosts_.contains(url.host()) || masterDb_.isCategorized(url)) return;
+  queuedHosts_.insert(url.host());
   queue_.push_back({url, now + config_.queueLatencyHours});
+  nextDue_ = std::min(nextDue_, queue_.back().dueAt);
 }
 
 void Vendor::processUntil(util::SimTime now) {
+  if (now < nextDue_) return;
+  util::SimTime nextDue{std::numeric_limits<std::int64_t>::max()};
   for (auto& s : submissions_) {
-    if (s.state == Submission::State::kPending && s.reviewAt <= now)
+    if (s.state != Submission::State::kPending) continue;
+    if (s.reviewAt <= now)
       reviewSubmission(s);
+    else
+      nextDue = std::min(nextDue, s.reviewAt);
   }
-  std::vector<QueuedUrl> remaining;
-  for (auto& q : queue_) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    QueuedUrl& q = queue_[i];
     if (q.dueAt > now) {
-      remaining.push_back(q);
+      nextDue = std::min(nextDue, q.dueAt);
+      if (kept != i) queue_[kept] = std::move(q);
+      ++kept;
       continue;
     }
+    queuedHosts_.erase(q.url.host());
     if (!rng_.chance(config_.queueCategorizeProbability)) continue;  // dropped
     if (const auto category = crawlAndClassify(q.url))
       masterDb_.addHost(q.url.host(), *category, q.dueAt);
   }
-  queue_ = std::move(remaining);
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept),
+               queue_.end());
+  nextDue_ = nextDue;
 }
 
 void Vendor::reviewSubmission(Submission& submission) {

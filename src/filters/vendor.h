@@ -2,9 +2,11 @@
 #define URLF_FILTERS_VENDOR_H
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "filters/category.h"
@@ -93,6 +95,14 @@ class Vendor {
 
   /// Advance vendor-side processing (reviews, crawl queue) to `now`.
   /// Idempotent; deployments call this lazily before each decision.
+  ///
+  /// A due-time watermark (the earliest pending reviewAt or dueAt) makes a
+  /// call with nothing due return at once. It keeps the order of the
+  /// RNG draws: a call with nothing due draws nothing either way, and a
+  /// call with work due still reviews every due submission in submission
+  /// order, then every due queue entry in queue order, as a full scan does.
+  /// The queue is compacted in place, so entries not yet due keep their
+  /// order for later calls.
   void processUntil(util::SimTime now);
 
   [[nodiscard]] const std::vector<Submission>& submissions() const {
@@ -132,6 +142,9 @@ class Vendor {
   simnet::VantagePoint vendorVantage_;
   std::vector<Submission> submissions_;
   std::vector<QueuedUrl> queue_;
+  std::unordered_set<std::string> queuedHosts_;  ///< the hosts in queue_
+  /// Earliest reviewAt of a pending submission or dueAt in queue_.
+  util::SimTime nextDue_{std::numeric_limits<std::int64_t>::max()};
   std::set<std::string> disregardedSubmitters_;
   std::set<std::uint32_t> disregardedAsns_;
   std::string portalUrl_;

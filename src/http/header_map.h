@@ -26,6 +26,9 @@ class HeaderMap {
   /// Append a field, keeping any existing fields with the same name.
   void add(std::string_view name, std::string_view value);
 
+  /// Make room for `n` fields without reallocating.
+  void reserve(std::size_t n) { fields_.reserve(n); }
+
   /// Replace all fields of this name with a single field.
   void set(std::string_view name, std::string_view value);
 

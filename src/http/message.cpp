@@ -4,11 +4,11 @@
 
 namespace urlf::http {
 
-Request Request::get(const net::Url& url) {
+Request Request::get(net::Url url) {
   Request req;
-  req.method = "GET";
-  req.url = url;
-  req.headers.add("Host", url.host());
+  req.url = std::move(url);
+  req.headers.reserve(4);
+  req.headers.add("Host", req.url.host());
   req.headers.add("User-Agent", "ONI-MeasurementClient/2.1");
   req.headers.add("Accept", "*/*");
   req.headers.add("Connection", "close");
@@ -16,11 +16,11 @@ Request Request::get(const net::Url& url) {
 }
 
 Request Request::get(std::string_view urlText) {
-  const auto url = net::Url::parse(urlText);
+  auto url = net::Url::parse(urlText);
   if (!url)
     throw std::invalid_argument("Request::get: malformed URL: " +
                                 std::string(urlText));
-  return get(*url);
+  return get(std::move(*url));
 }
 
 void Request::retarget(net::Url newUrl) {

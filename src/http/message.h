@@ -18,8 +18,10 @@ struct Request {
   HeaderMap headers;
   std::string body;
 
-  /// Build a plain GET with a Host header and common client headers.
-  static Request get(const net::Url& url);
+  /// Build a plain GET with a Host header and common client headers. The
+  /// fetch path builds one per URL and shares it across vantages, attempts
+  /// and redirect hops, so a caller done with `url` should move it in.
+  static Request get(net::Url url);
   /// Convenience: parse the URL text, then build the GET. Throws
   /// std::invalid_argument on malformed URLs.
   static Request get(std::string_view urlText);

@@ -136,14 +136,23 @@ std::optional<BlockPageMatch> Client::classify(
              : classifyBlockPage(field);
 }
 
+void Client::fetchBoth(const std::string& url, UrlTestResult& out) {
+  out.url = url;
+  if (auto parsed = net::Url::parse(url)) {
+    const auto request = http::Request::get(std::move(*parsed));
+    out.field = transport_.fetch(*field_, request, fetchOptions_);
+    out.lab = transport_.fetch(*lab_, request, fetchOptions_);
+  } else {
+    out.field = simnet::Transport::badUrl(url);
+    out.lab = out.field;
+  }
+  if (health_ != nullptr)
+    health_->of(field_->name).recordOutcome(out.field.outcome, world_->now());
+}
+
 UrlTestResult Client::fetchAndClassify(const std::string& url) {
   UrlTestResult result;
-  result.url = url;
-  result.field = transport_.fetchUrl(*field_, url, fetchOptions_);
-  result.lab = transport_.fetchUrl(*lab_, url, fetchOptions_);
-  if (health_ != nullptr)
-    health_->of(field_->name).recordOutcome(result.field.outcome,
-                                            world_->now());
+  fetchBoth(url, result);
   result.blockPage = classify(result.field);
   result.verdict = compare(result.field, result.lab, result.blockPage);
   return result;
@@ -264,12 +273,7 @@ std::vector<UrlTestResult> Client::testListBatched(
       }
       before.push_back(epoch);
     }
-    out[i].url = urls[i];
-    out[i].field = transport_.fetchUrl(*field_, urls[i], fetchOptions_);
-    out[i].lab = transport_.fetchUrl(*lab_, urls[i], fetchOptions_);
-    if (health_ != nullptr)
-      health_->of(field_->name).recordOutcome(out[i].field.outcome,
-                                              world_->now());
+    fetchBoth(urls[i], out[i]);
     fetched.push_back(i);
     if (memoActive) after.push_back(currentEpoch());
   }

@@ -186,8 +186,12 @@ class Client {
       const std::string& url, const MemoEpoch& epoch);
   void sharedInsert(const UrlTestResult& result, const MemoEpoch& epoch);
 
-  /// Fetch both sides and classify — the memo-oblivious core of testUrl.
-  /// Feeds the field outcome to the health registry when one is attached.
+  /// Fetch `url` from the field, then from the lab, into `out`: the URL is
+  /// parsed and its request built once for both sides (a malformed URL
+  /// gives both Transport::badUrl). Feeds the field outcome to the health
+  /// registry when one is attached.
+  void fetchBoth(const std::string& url, UrlTestResult& out);
+  /// fetchBoth, then classify — the memo-oblivious core of testUrl.
   [[nodiscard]] UrlTestResult fetchAndClassify(const std::string& url);
   [[nodiscard]] std::optional<BlockPageMatch> classify(
       const simnet::FetchResult& field) const;

@@ -3,24 +3,9 @@
 #include <cctype>
 #include <stdexcept>
 
-#include "util/strings.h"
-
 namespace urlf::net {
 
 namespace {
-
-std::optional<std::uint32_t> parseOctet(std::string_view s) {
-  if (s.empty() || s.size() > 3) return std::nullopt;
-  // Reject leading zeros ("01") which some parsers read as octal.
-  if (s.size() > 1 && s.front() == '0') return std::nullopt;
-  std::uint32_t v = 0;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-    v = v * 10 + static_cast<std::uint32_t>(c - '0');
-  }
-  if (v > 255) return std::nullopt;
-  return v;
-}
 
 constexpr std::uint32_t maskForLength(int length) {
   return length == 0 ? 0u : ~std::uint32_t{0} << (32 - length);
@@ -29,14 +14,25 @@ constexpr std::uint32_t maskForLength(int length) {
 }  // namespace
 
 std::optional<Ipv4Addr> Ipv4Addr::parse(std::string_view s) {
-  const auto parts = util::split(s, '.');
-  if (parts.size() != 4) return std::nullopt;
+  // One pass over the text: four runs of 1-3 digits joined by single dots.
   std::uint32_t value = 0;
-  for (const auto& part : parts) {
-    const auto octet = parseOctet(part);
-    if (!octet) return std::nullopt;
-    value = (value << 8) | *octet;
+  std::size_t i = 0;
+  for (int part = 0; part < 4; ++part) {
+    if (part > 0) {
+      if (i == s.size() || s[i] != '.') return std::nullopt;
+      ++i;
+    }
+    const std::size_t start = i;
+    std::uint32_t octet = 0;
+    while (i < s.size() && s[i] >= '0' && s[i] <= '9' && i - start < 3)
+      octet = octet * 10 + static_cast<std::uint32_t>(s[i++] - '0');
+    const std::size_t digits = i - start;
+    // Reject leading zeros ("01") which some parsers read as octal.
+    if (digits == 0 || octet > 255 || (digits > 1 && s[start] == '0'))
+      return std::nullopt;
+    value = (value << 8) | octet;
   }
+  if (i != s.size()) return std::nullopt;
   return Ipv4Addr{value};
 }
 

@@ -23,15 +23,22 @@ std::optional<std::uint16_t> parsePort(std::string_view s) {
   return static_cast<std::uint16_t>(v);
 }
 
+void lowerInPlace(std::string& s) {
+  for (char& c : s)
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+}
+
 }  // namespace
 
 Url::Url(std::string scheme, std::string host, std::optional<std::uint16_t> port,
          std::string path, std::string query)
-    : scheme_(util::toLower(scheme)),
-      host_(util::toLower(host)),
+    : scheme_(std::move(scheme)),
+      host_(std::move(host)),
       port_(port),
       path_(std::move(path)),
       query_(std::move(query)) {
+  lowerInPlace(scheme_);
+  lowerInPlace(host_);
   if (scheme_ != "http" && scheme_ != "https")
     throw std::invalid_argument("Url: unsupported scheme " + scheme_);
   if (host_.empty()) throw std::invalid_argument("Url: empty host");
@@ -42,10 +49,10 @@ Url::Url(std::string scheme, std::string host, std::optional<std::uint16_t> port
 std::optional<Url> Url::parse(std::string_view s) {
   s = util::trim(s);
   std::string scheme;
-  if (util::startsWith(util::toLower(std::string(s)), "https://")) {
+  if (util::iequals(s.substr(0, 8), "https://")) {
     scheme = "https";
     s.remove_prefix(8);
-  } else if (util::startsWith(util::toLower(std::string(s)), "http://")) {
+  } else if (util::iequals(s.substr(0, 7), "http://")) {
     scheme = "http";
     s.remove_prefix(7);
   } else {
@@ -59,18 +66,16 @@ std::optional<Url> Url::parse(std::string_view s) {
   if (authority.empty()) return std::nullopt;
   if (authority.find('@') != std::string_view::npos) return std::nullopt;
 
-  std::string host;
+  std::string_view host = authority;
   std::optional<std::uint16_t> port;
   const std::size_t colon = authority.rfind(':');
   if (colon != std::string_view::npos) {
     port = parsePort(authority.substr(colon + 1));
     if (!port) return std::nullopt;
-    host = std::string(authority.substr(0, colon));
-  } else {
-    host = std::string(authority);
+    host = authority.substr(0, colon);
   }
   if (host.empty()) return std::nullopt;
-  if (!isValidHostname(host) && !Ipv4Addr::parse(host)) return std::nullopt;
+  if (!Ipv4Addr::parse(host) && !isValidHostname(host)) return std::nullopt;
 
   std::string path = "/";
   std::string query;
@@ -88,7 +93,7 @@ std::optional<Url> Url::parse(std::string_view s) {
     if (path.empty() || path.front() != '/') path.insert(path.begin(), '/');
   }
 
-  return Url{std::move(scheme), std::move(host), port, std::move(path),
+  return Url{std::move(scheme), std::string(host), port, std::move(path),
              std::move(query)};
 }
 

@@ -72,7 +72,7 @@ std::optional<Preempt> FaultPlan::onDns(PathContext& ctx) {
   switch (fault) {
     case FaultKind::kDnsFlap:
       return fail(FetchOutcome::kDnsFailure, FailureSignature::kEmptyDns,
-                  "injected transient DNS flap: " + ctx.request.url.host());
+                  "injected transient DNS flap: " + ctx.request().url.host());
     case FaultKind::kConnectFail:
       return fail(FetchOutcome::kConnectFailure, FailureSignature::kRefused,
                   "injected transient connect failure");

@@ -13,11 +13,12 @@ namespace urlf::simnet {
 /// annotate traffic (proxy Via headers). URL filtering products implement
 /// this interface.
 ///
-/// As a path stage a middlebox acts on two hooks: onRequest inspects (and
-/// may annotate) `ctx.request` under the policy view `ctx.policy`, and a
-/// returned Preempt short-circuits the exchange — the origin is never
-/// contacted; onResponse post-processes the origin's response on the way
-/// back (e.g. a transparent proxy stamping Via headers).
+/// As a path stage a middlebox acts on two hooks: onRequest inspects
+/// `ctx.request()` (and may annotate it through `ctx.annotate()`) under the
+/// policy view `ctx.policy`, and a returned Preempt short-circuits the
+/// exchange — the origin is never contacted; onResponse post-processes the
+/// origin's response on the way back (e.g. a transparent proxy stamping Via
+/// headers).
 class Middlebox : public PathStage {
  public:
   Middlebox() : PathStage(PathLayer::kHttp) {}

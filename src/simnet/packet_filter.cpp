@@ -19,7 +19,7 @@ bool hostInZone(std::string_view hostname, std::string_view zone) {
 namespace {
 
 FlowKey keyFor(const PathContext& ctx) {
-  return FlowKey{ctx.vantage.name, ctx.syn.host, ctx.syn.port};
+  return FlowKey{ctx.vantage.name, std::string(ctx.syn.host), ctx.syn.port};
 }
 
 bool anyZoneMatches(const std::vector<std::string>& zones,
@@ -43,7 +43,7 @@ bool DnsPoisoner::matches(std::string_view hostname) const {
 }
 
 std::optional<Preempt> DnsPoisoner::onDns(PathContext& ctx) {
-  const std::string& host = ctx.request.url.host();
+  const std::string& host = ctx.request().url.host();
   if (!matches(host)) return std::nullopt;
   ++queriesPoisoned_;
   if (mode_ == DnsTamper::Kind::kForged) {
@@ -80,7 +80,9 @@ std::optional<Preempt> RstInjector::onConnect(PathContext& ctx) {
 }
 
 std::optional<Preempt> RstInjector::onRequest(PathContext& ctx) {
-  const std::string wire = ctx.syn.host + " " + ctx.url();
+  std::string wire(ctx.syn.host);
+  wire += ' ';
+  wire += ctx.url();
   const std::string lowered = util::toLower(wire);
   const bool hit =
       std::any_of(keywords_.begin(), keywords_.end(),

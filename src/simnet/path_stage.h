@@ -139,7 +139,7 @@ struct Preempt {
 /// an SNI filter that "fails open" passes TLS flows whose hello names no
 /// server.
 struct FlowSyn {
-  std::string host;        ///< lowercased destination hostname
+  std::string_view host;   ///< lowercased destination hostname (the URL's)
   net::Ipv4Addr dstIp;
   std::uint16_t port = 80;
   bool tls = false;        ///< the flow is a TLS session (https URL)
@@ -158,17 +158,17 @@ struct InterceptContext {
 /// Per-fetch state the stages of one attempt share. Built once by the
 /// transport; stages read it and record cross-stage effects in it.
 struct PathContext {
-  PathContext(World& world, const VantagePoint& vantage, http::Request& request,
-              int attempt, std::int64_t deadlineHours)
+  PathContext(World& world, const VantagePoint& vantage,
+              const http::Request& request, int attempt,
+              std::int64_t deadlineHours)
       : world(world),
         vantage(vantage),
-        request(request),
         attempt(attempt),
-        deadlineHours(deadlineHours) {}
+        deadlineHours(deadlineHours),
+        request_(&request) {}
 
   World& world;
   const VantagePoint& vantage;
-  http::Request& request;  ///< middleboxes may annotate it
   int attempt;             ///< attempt index the keyed draws use
   std::int64_t deadlineHours;  ///< per-attempt deadline (0 = none)
 
@@ -185,13 +185,28 @@ struct PathContext {
   /// The injected fault or outage that preempted the attempt, if any.
   FaultKind injectedFault = FaultKind::kNone;
 
+  /// The request as it travels the path: the caller's own, until a stage
+  /// annotates it.
+  [[nodiscard]] const http::Request& request() const {
+    return annotated_ ? *annotated_ : *request_;
+  }
+  /// For a stage that annotates the request (a proxy header): this
+  /// attempt's own copy, made on first use. The caller's request, which
+  /// serves every vantage, attempt and hop of a fetch, stays as built.
+  [[nodiscard]] http::Request& annotate() {
+    if (!annotated_) annotated_.emplace(*request_);
+    return *annotated_;
+  }
+
   /// The request URL's canonical text, computed on first use only.
   [[nodiscard]] const std::string& url() {
-    if (!url_) url_ = request.url.toString();
+    if (!url_) url_ = request().url.toString();
     return *url_;
   }
 
  private:
+  const http::Request* request_;
+  std::optional<http::Request> annotated_;
   std::optional<std::string> url_;
 };
 

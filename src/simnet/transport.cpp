@@ -140,7 +140,7 @@ FetchResult finish(const PathContext& ctx, Preempt end) {
 }  // namespace
 
 FetchResult Transport::fetchOnce(const VantagePoint& vantage,
-                                 http::Request request,
+                                 const http::Request& request,
                                  const FetchOptions& options, int attempt) {
   const Path path = pathOf(*world_, vantage);
   PathContext ctx(*world_, vantage, request, options.attemptBase + attempt,
@@ -165,7 +165,8 @@ FetchResult Transport::fetchOnce(const VantagePoint& vantage,
   // Flows are tracked lazily: worlds without packet filters never touch the
   // conntrack.
   if (vantage.isp != nullptr && vantage.isp->hasPacketFilters())
-    world_->flows().track(FlowKey{vantage.name, ctx.syn.host, port}, now);
+    world_->flows().track(
+        FlowKey{vantage.name, std::string(ctx.syn.host), port}, now);
 
   if (auto preempt = path.run(&PathStage::onConnect, ctx))
     return finish(ctx, std::move(*preempt));
@@ -183,7 +184,7 @@ FetchResult Transport::fetchOnce(const VantagePoint& vantage,
                         "connection refused: " + ctx.ip->toString() + ":" +
                             std::to_string(port),
                         {}});
-  http::Response response = endpoint->handle(request, world_->now());
+  http::Response response = endpoint->handle(ctx.request(), world_->now());
   path.respond(ctx, response);
   return finish(ctx, Preempt::respond(std::move(response)));
 }
@@ -234,7 +235,8 @@ FetchResult Transport::fetchAttempt(const VantagePoint& vantage,
 
     std::vector<http::Response> chain = std::move(result.redirectChain);
     chain.push_back(std::move(*result.response));
-    result = fetchOnce(vantage, http::Request::get(*target), options, attempt);
+    const http::Request hop = http::Request::get(std::move(*target));
+    result = fetchOnce(vantage, hop, options, attempt);
     // Keep the accumulated chain regardless of the hop's outcome.
     chain.insert(chain.end(),
                  std::make_move_iterator(result.redirectChain.begin()),
@@ -265,14 +267,16 @@ FetchResult Transport::fetch(const VantagePoint& vantage,
 FetchResult Transport::fetchUrl(const VantagePoint& vantage,
                                 std::string_view urlText,
                                 const FetchOptions& options) {
-  const auto url = net::Url::parse(urlText);
-  if (!url) {
-    FetchResult result;
-    result.outcome = FetchOutcome::kBadUrl;
-    result.error = "malformed URL: " + std::string(urlText);
-    return result;
-  }
-  return fetch(vantage, http::Request::get(*url), options);
+  auto url = net::Url::parse(urlText);
+  if (!url) return badUrl(urlText);
+  return fetch(vantage, http::Request::get(std::move(*url)), options);
+}
+
+FetchResult Transport::badUrl(std::string_view urlText) {
+  FetchResult result;
+  result.outcome = FetchOutcome::kBadUrl;
+  result.error = "malformed URL: " + std::string(urlText);
+  return result;
 }
 
 }  // namespace urlf::simnet

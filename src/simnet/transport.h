@@ -107,11 +107,15 @@ class Transport {
                                   const http::Request& request,
                                   const FetchOptions& options = {});
 
-  /// Convenience: build a GET for `urlText` and fetch it. Malformed URLs
-  /// yield kBadUrl with a descriptive error (no retry, no fault roll).
+  /// Convenience: parse `urlText`, build its GET and fetch it. Malformed
+  /// URLs yield badUrl(urlText) (no retry, no fault roll).
   [[nodiscard]] FetchResult fetchUrl(const VantagePoint& vantage,
                                      std::string_view urlText,
                                      const FetchOptions& options = {});
+
+  /// What fetching a malformed `urlText` yields: kBadUrl with a descriptive
+  /// error and no side effect on the world.
+  [[nodiscard]] static FetchResult badUrl(std::string_view urlText);
 
   /// Resolve `hostname` exactly as a fetch from `vantage` would — the ISP's
   /// DNS hooks first, then the global registry. This is the mechanism
@@ -127,7 +131,7 @@ class Transport {
 
  private:
   [[nodiscard]] FetchResult fetchOnce(const VantagePoint& vantage,
-                                      http::Request request,
+                                      const http::Request& request,
                                       const FetchOptions& options,
                                       int attempt);
   /// One attempt: fetchOnce plus redirect following.

@@ -1,5 +1,6 @@
 #include "simnet/world.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "simnet/world_stream.h"
@@ -82,7 +83,11 @@ void World::unregisterHostname(const std::string& hostname) {
 std::optional<net::Ipv4Addr> World::resolve(const std::string& hostname) const {
   // IP literals resolve to themselves.
   if (const auto ip = net::Ipv4Addr::parse(hostname)) return ip;
-  const auto it = dns_.find(util::toLower(hostname));
+  // Url hosts are already lowercase; fold only a name that needs it.
+  const bool lower = std::none_of(hostname.begin(), hostname.end(),
+                                  [](char c) { return c >= 'A' && c <= 'Z'; });
+  const auto it =
+      lower ? dns_.find(hostname) : dns_.find(util::toLower(hostname));
   if (it == dns_.end()) return std::nullopt;
   return it->second;
 }

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -301,9 +302,10 @@ class World {
   std::vector<std::unique_ptr<PacketFilter>> packetFilters_;
   FlowTable flows_;
   std::vector<std::unique_ptr<VantagePoint>> vantages_;
-  std::map<std::string, net::Ipv4Addr> dns_;
-  std::map<std::uint64_t, std::size_t> bindingIndex_;  ///< key -> bindings_ slot
-  std::vector<Binding> bindings_;                      ///< insertion order kept
+  std::unordered_map<std::string, net::Ipv4Addr> dns_;
+  /// bindingKey -> bindings_ slot; bindings_ keeps the insertion order.
+  std::unordered_map<std::uint64_t, std::size_t> bindingIndex_;
+  std::vector<Binding> bindings_;
   std::shared_ptr<const WorldStream> hostStream_;
 };
 

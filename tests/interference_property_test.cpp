@@ -54,7 +54,7 @@ class VendorBlockBox : public simnet::Middlebox {
   std::string name() const override { return "tl-netsweeper"; }
 
   std::optional<simnet::Preempt> onRequest(simnet::PathContext& ctx) override {
-    if (hosts_.count(util::toLower(ctx.request.url.host())) > 0)
+    if (hosts_.count(util::toLower(ctx.request().url.host())) > 0)
       return simnet::Preempt::respond(
           simnet::mimicResponse(MimicTemplate::kNetsweeper));
     return std::nullopt;

@@ -22,13 +22,13 @@ class ScriptedBox : public Middlebox {
 
   std::optional<Preempt> onRequest(PathContext& ctx) override {
     ++seen;
-    const auto& host = ctx.request.url.host();
+    const auto& host = ctx.request().url.host();
     if (host == "blocked.example")
       return Preempt::respond(
           http::Response::make(http::Status::kForbidden, "<h1>denied</h1>"));
     if (host == "reset.example") return Preempt::reset(FailureCause::kMiddlebox);
     if (host == "dropped.example") return Preempt::drop(FailureCause::kMiddlebox);
-    ctx.request.headers.add("X-Annotated", "yes");
+    ctx.annotate().headers.add("X-Annotated", "yes");
     return std::nullopt;
   }
 
