@@ -26,11 +26,17 @@ std::string extractTitle(std::string_view html) {
 }
 
 std::string makePage(std::string_view title, std::string_view body) {
-  std::string out = "<html><head><title>";
+  constexpr std::string_view kHead = "<html><head><title>";
+  constexpr std::string_view kMiddle = "</title></head><body>";
+  constexpr std::string_view kTail = "</body></html>";
+  std::string out;
+  out.reserve(kHead.size() + title.size() + kMiddle.size() + body.size() +
+              kTail.size());
+  out += kHead;
   out += title;
-  out += "</title></head><body>";
+  out += kMiddle;
   out += body;
-  out += "</body></html>";
+  out += kTail;
   return out;
 }
 

@@ -43,8 +43,9 @@ Response Response::make(Status status, std::string body,
                         std::string_view contentType) {
   Response resp = make(status);
   resp.body = std::move(body);
-  resp.headers.set("Content-Type", std::string(contentType));
-  resp.headers.set("Content-Length", std::to_string(resp.body.size()));
+  resp.headers.reserve(3);  // room for the caller's Server header
+  resp.headers.add("Content-Type", contentType);
+  resp.headers.add("Content-Length", std::to_string(resp.body.size()));
   return resp;
 }
 
