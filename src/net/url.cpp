@@ -1,6 +1,5 @@
 #include "net/url.h"
 
-#include <cctype>
 #include <stdexcept>
 
 #include "net/ipv4.h"
@@ -10,13 +9,16 @@ namespace urlf::net {
 
 namespace {
 
-bool isAlnum(char c) { return std::isalnum(static_cast<unsigned char>(c)) != 0; }
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+bool isAlnum(char c) {
+  return isDigit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
 
 std::optional<std::uint16_t> parsePort(std::string_view s) {
   if (s.empty() || s.size() > 5) return std::nullopt;
   std::uint32_t v = 0;
   for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
+    if (!isDigit(c)) return std::nullopt;
     v = v * 10 + static_cast<std::uint32_t>(c - '0');
   }
   if (v == 0 || v > 65535) return std::nullopt;
@@ -60,9 +62,12 @@ std::optional<Url> Url::parse(std::string_view s) {
   }
 
   // authority ends at the first '/', '?' or '#'
-  std::size_t authorityEnd = s.find_first_of("/?#");
-  const std::string_view authority =
-      authorityEnd == std::string_view::npos ? s : s.substr(0, authorityEnd);
+  std::size_t authorityEnd = 0;
+  while (authorityEnd < s.size() && s[authorityEnd] != '/' &&
+         s[authorityEnd] != '?' && s[authorityEnd] != '#')
+    ++authorityEnd;
+  if (authorityEnd == s.size()) authorityEnd = std::string_view::npos;
+  const std::string_view authority = s.substr(0, authorityEnd);
   if (authority.empty()) return std::nullopt;
   if (authority.find('@') != std::string_view::npos) return std::nullopt;
 
