@@ -1,9 +1,11 @@
 // Fetch→classify hot-path benchmark: the per-call <regex> reference vs the
 // compiled pattern library (classifyBlockPage), timed apart on benign pages
 // and on vendor block pages, and the tree-based reference category store vs
-// the flat CategoryDatabase, on synthetic campaign-scale workloads. Emits
-// BENCH_fetch.json (campaign_e2e merges its end-to-end numbers into the same
-// file).
+// the flat CategoryDatabase, on synthetic campaign-scale workloads. It also
+// times the fetch path's own layers over the paper campaign's Table 4 URLs
+// ("layers": URL parse, resolve, one fetch attempt, and a vendor queue call
+// with nothing due). Emits BENCH_fetch.json (campaign_e2e merges its
+// end-to-end numbers into the same file).
 //
 // Usage: micro_fetch [--quick] [--out PATH]
 #include <algorithm>
@@ -18,10 +20,13 @@
 #include <vector>
 
 #include "filters/category_db.h"
+#include "filters/vendor.h"
 #include "measure/blockpage.h"
 #include "measure/pattern_library.h"
 #include "oracles/reference_category_store.h"
 #include "report/json.h"
+#include "scenarios/paper_world.h"
+#include "simnet/transport.h"
 #include "util/rng.h"
 
 namespace {
@@ -356,6 +361,116 @@ report::Json benchAtSize(int urls, int reps) {
   return out;
 }
 
+// --- fetch-path layers ------------------------------------------------------
+
+/// The campaign's Table 4 networks: a field vantage, its country's local
+/// list, and the date the campaign tests it.
+struct LayerNetwork {
+  const char* vantage;
+  const char* alpha2;
+  util::CivilDate date;
+};
+const LayerNetwork kLayerNetworks[] = {
+    {"field-etisalat", "AE", {2013, 5, 6}},
+    {"field-yemennet", "YE", {2013, 4, 1}},
+    {"field-du", "AE", {2013, 4, 1}},
+    {"field-ooredoo", "QA", {2013, 8, 26}},
+};
+
+/// Per-call cost of each fetch-path layer on the paper's world: Url::parse
+/// and World::resolve over the campaign's Table 4 URLs, one
+/// Transport::fetch attempt of a prebuilt request from each network's field
+/// vantage and from the lab, and Vendor::processUntil when nothing is due.
+report::Json benchFetchLayers(int reps) {
+  scenarios::PaperWorld paper(scenarios::kPaperSeed);
+  auto& world = paper.world();
+  const auto* lab = world.findVantage("lab-toronto");
+
+  // Each network tests the global list, then its country's local list.
+  std::vector<std::string> texts;
+  std::vector<std::vector<http::Request>> requests;
+  for (const auto& network : kLayerNetworks) {
+    auto& slice = requests.emplace_back();
+    for (const auto* list :
+         {&paper.globalList(), &paper.localList(network.alpha2)})
+      for (auto& text : list->urls()) {
+        if (auto url = net::Url::parse(text))
+          slice.push_back(http::Request::get(std::move(*url)));
+        texts.push_back(std::move(text));
+      }
+  }
+  // The lists are short, so each timed pass walks them kPasses times.
+  constexpr int kPasses = 50;
+  const double urls = static_cast<double>(texts.size()) * kPasses;
+
+  std::size_t sink = 0;
+  const double parseMs = bestOf(reps, [&] {
+    for (int pass = 0; pass < kPasses; ++pass)
+      for (const auto& text : texts)
+        if (const auto url = net::Url::parse(text)) sink += url->host().size();
+  });
+  const double resolveMs = bestOf(reps, [&] {
+    for (int pass = 0; pass < kPasses; ++pass)
+      for (const auto& slice : requests)
+        for (const auto& request : slice)
+          if (const auto ip = world.resolve(request.url.host()))
+            sink += ip->value();
+  });
+
+  // Each network's requests are fetched at its campaign date.
+  simnet::Transport transport(world);
+  double fetchMs = 0.0;
+  double fetches = 0.0;
+  for (std::size_t n = 0; n < requests.size(); ++n) {
+    scenarios::advanceClockTo(world, kLayerNetworks[n].date);
+    const auto* field = world.findVantage(kLayerNetworks[n].vantage);
+    fetchMs += bestOf(reps, [&] {
+      for (int pass = 0; pass < kPasses; ++pass)
+        for (const auto& request : requests[n])
+          for (const auto* vantage : {field, lab})
+            sink += static_cast<std::size_t>(
+                transport.fetch(*vantage, request).attempts);
+    });
+    fetches += 2.0 * static_cast<double>(requests[n].size()) * kPasses;
+  }
+
+  // A vendor holding a day-old queue and open submissions, asked to advance
+  // to a time at which nothing is due yet: the call every intercepted
+  // request makes.
+  filters::Vendor vendor(filters::ProductKind::kNetsweeper, world);
+  std::size_t queued = 0;
+  for (const auto& slice : requests)
+    for (const auto& request : slice) {
+      if (queued++ % 50 == 0)
+        (void)vendor.submitUrl(request.url, 1, "bench@example.org");
+      else
+        vendor.queueForCategorization(request.url, world.now());
+    }
+  constexpr int kIdleCalls = 200000;
+  const auto idleAt = world.now() + 1;
+  const double idleMs = bestOf(reps, [&] {
+    for (int i = 0; i < kIdleCalls; ++i) vendor.processUntil(idleAt);
+  });
+  sink += vendor.pendingQueueSize();
+
+  report::Json out = report::Json::object();
+  out["urls"] = report::Json::number(static_cast<std::int64_t>(texts.size()));
+  out["url_parse_ns"] = report::Json::number(parseMs * 1e6 / urls);
+  out["resolve_ns"] = report::Json::number(resolveMs * 1e6 / urls);
+  out["fetches"] = report::Json::number(fetches);
+  out["fetch_attempt_ns"] = report::Json::number(fetchMs * 1e6 / fetches);
+  out["vendor_pending"] = report::Json::number(
+      static_cast<std::int64_t>(vendor.pendingQueueSize()));
+  out["vendor_idle_process_ns"] =
+      report::Json::number(idleMs * 1e6 / kIdleCalls);
+  std::cerr << "layers: parse=" << parseMs * 1e6 / urls
+            << "ns resolve=" << resolveMs * 1e6 / urls
+            << "ns fetch=" << fetchMs * 1e6 / fetches
+            << "ns vendor-idle=" << idleMs * 1e6 / kIdleCalls << "ns (sink "
+            << sink % 10 << ")\n";
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -385,6 +500,7 @@ int main(int argc, char** argv) {
   report::Json runs = report::Json::array();
   for (const int urls : sizes) runs.push(benchAtSize(urls, reps));
   root["runs"] = std::move(runs);
+  root["layers"] = benchFetchLayers(reps);
 
   std::ofstream file(outPath);
   if (!file) {
