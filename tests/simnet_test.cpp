@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "simnet/echo_server.h"
 #include "simnet/hosting.h"
 #include "simnet/origin_server.h"
 #include "simnet/transport.h"
@@ -264,6 +265,28 @@ TEST_F(SimnetFixture, MiddleboxAnnotatesAndPostProcesses) {
   const auto labResult = transport.fetchUrl(*lab, "http://site.example/");
   EXPECT_FALSE(labResult.response->headers.contains("Via"));
   EXPECT_EQ(box.seen, 1);
+
+  // The annotation reaches the origin, but only on the attempt that made
+  // it: one request shared by both vantages and a repeat stays as built.
+  auto& echo = world.makeEndpoint<RequestEchoServer>("echo.example");
+  const auto echoIp = world.allocateAddress(200);
+  world.bind(echoIp, 80, echo, true);
+  world.registerHostname("echo.example", echoIp);
+  const auto request = http::Request::get("http://echo.example/");
+  const auto annotations = [&](const VantagePoint& vantage) {
+    const auto result = transport.fetch(vantage, request);
+    EXPECT_TRUE(result.ok());
+    std::size_t count = 0;
+    for (std::size_t at = result.response->body.find("X-Annotated: yes");
+         at != std::string::npos;
+         at = result.response->body.find("X-Annotated: yes", at + 1))
+      ++count;
+    return count;
+  };
+  EXPECT_EQ(annotations(*field), 1u);
+  EXPECT_EQ(annotations(*field), 1u);
+  EXPECT_EQ(annotations(*lab), 0u);
+  EXPECT_FALSE(request.headers.contains("X-Annotated"));
 }
 
 TEST_F(SimnetFixture, ChainShortCircuitsAtFirstBlock) {
