@@ -8,7 +8,11 @@
 //    results all agree, for any shard granularity;
 //  - eagerly bound surfaces are a crawl-time snapshot: after the world
 //    changes, searches and passive identification still answer from the
-//    crawled banners, while streamed docs are re-materialized.
+//    crawled banners, while streamed docs are re-materialized;
+//  - incremental ≡ full: after every IncrementalCrawler::refresh over a
+//    churning stream, the assembled index is byte-identical to a fresh
+//    crawlStream of the same world, and serves the same records, at 1 and 4
+//    threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,8 +25,10 @@
 #include "net/cctld.h"
 #include "oracles/linear_scan.h"
 #include "scan/banner_index.h"
+#include "scan/delta_index.h"
 #include "scan/serialize.h"
 #include "scenarios/random_world.h"
+#include "simnet/churn_stream.h"
 #include "simnet/origin_server.h"
 #include "simnet/world_stream.h"
 
@@ -262,6 +268,76 @@ TEST(WorldStreamProperty, ResidentDocsAreACrawlTimeSnapshot) {
   world.attachHostStream(nullptr);
   EXPECT_THROW((void)index.fetchRecord(eagerCount), std::logic_error);
   EXPECT_EQ(index.fetchRecord(consoleDoc).title, "McAfee Web Gateway");
+}
+
+TEST(WorldStreamProperty, IncrementalCrawlerMatchesAFreshCrawlEveryTick) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    scenarios::RandomWorld random(61, smallWorld());
+    auto& world = random.world();
+    ProceduralHostConfig config = smallStream();
+    config.hosts = 2000;
+    ChurnConfig churnConfig;
+    churnConfig.rebrandRate = 0.08;
+    churnConfig.parkRate = 0.04;
+    churnConfig.baitFraction = config.baitFraction;
+    const auto churn = std::make_shared<ChurnHostStream>(
+        std::make_shared<ProceduralHostStream>(62, config), 63, churnConfig);
+    churn->announceInto(world);
+    world.attachHostStream(churn);
+
+    // A bound console whose banner changes in place (tick 2) and a second
+    // one bound later, which moves the cell layout (tick 4).
+    world.createAs(64998, "AS-CHURN", "Churn ISP", "AE",
+                   {net::IpPrefix::parse("198.51.100.0/24").value()});
+    auto& console = world.makeEndpoint<OriginServer>("console.churn.example");
+    Page page;
+    page.title = "McAfee Web Gateway";
+    page.body = "<h1>URL Blocked</h1>";
+    console.setPage("/", page);
+    world.bind(world.allocateAddress(64998), 80, console, true);
+    auto& late = world.makeEndpoint<OriginServer>("late.churn.example");
+    Page latePage;
+    latePage.title = "Netsweeper WebAdmin";
+    latePage.body = "<p>webadmin deny page</p>";
+    late.setPage("/", latePage);
+
+    const auto geo = world.buildGeoDatabase();
+    scan::IncrementalCrawlOptions crawlOptions;
+    crawlOptions.threadLimit = threads;
+    crawlOptions.hostsPerShard = 64;
+    scan::IncrementalCrawler crawler(world, geo, crawlOptions);
+    scan::StreamCrawlOptions freshOptions;
+    freshOptions.threadLimit = threads;
+    freshOptions.hostsPerShard = 64;
+
+    for (std::uint64_t tick = 0; tick <= 6; ++tick) {
+      SCOPED_TRACE("tick=" + std::to_string(tick));
+      if (tick > 0) world.clock().advanceHours(6);
+      if (tick == 2) {
+        page.title = "Plain Blog";
+        page.body = "<h1>nothing to see</h1>";
+        console.setPage("/", page);
+      }
+      if (tick == 4)
+        world.bind(world.allocateAddress(64998), 80, late, true);
+      churn->setTick(tick);
+      crawler.refresh([&](std::uint64_t id) { return churn->dirtyAt(id, tick); });
+      EXPECT_EQ(crawler.lastRefreshStructural(), tick == 0 || tick == 4);
+
+      const auto incremental = crawler.assemble();
+      const auto fresh = scan::crawlStream(world, geo, freshOptions);
+      ASSERT_EQ(scan::exportShardedIndex(incremental),
+                scan::exportShardedIndex(fresh));
+      std::vector<scan::BannerRecord> got;
+      std::vector<scan::BannerRecord> want;
+      for (std::uint32_t doc = 0; doc < fresh.docCount(); ++doc) {
+        got.push_back(incremental.fetchRecord(doc));
+        want.push_back(fresh.fetchRecord(doc));
+      }
+      EXPECT_EQ(scan::exportRecords(got, 0), scan::exportRecords(want, 0));
+    }
+  }
 }
 
 }  // namespace
