@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <queue>
 #include <stdexcept>
 
@@ -161,13 +162,139 @@ void PostingShard::appendTokenPostings(std::size_t k,
 
 void PostingShard::appendCandidates(std::string_view needle,
                                     std::vector<std::uint32_t>& out) const {
-  const std::string_view arena(arena_);
-  for (std::size_t k = 0; k < tokenCount(); ++k) {
-    const auto tok = arena.substr(tokenOffsets_[k],
-                                  tokenOffsets_[k + 1] - tokenOffsets_[k]);
-    if (tok.find(needle) == std::string_view::npos) continue;
-    appendTokenPostings(k, out);
+  const std::size_t tokens = tokenCount();
+  if (needle.empty()) {
+    for (std::size_t k = 0; k < tokens; ++k) appendTokenPostings(k, out);
+    return;
   }
+  const char* arena = arena_.data();
+  const std::size_t size = arena_.size();
+  std::size_t pos = 0;
+  std::size_t k = 0;
+  while (k < tokens && pos + needle.size() <= size) {
+    const auto* hit = static_cast<const char*>(::memmem(
+        arena + pos, size - pos, needle.data(), needle.size()));
+    if (hit == nullptr) break;
+    const auto at = static_cast<std::size_t>(hit - arena);
+    // The token holding `at`: the last one starting at or before it.
+    k = static_cast<std::size_t>(
+            std::upper_bound(tokenOffsets_.begin() + k + 1,
+                             tokenOffsets_.end() - 1, at) -
+            tokenOffsets_.begin()) -
+        1;
+    const std::size_t tokenEnd = tokenOffsets_[k + 1];
+    if (at + needle.size() > tokenEnd) {
+      pos = at + 1;  // crosses into the next token: not a match
+      continue;
+    }
+    appendTokenPostings(k, out);
+    pos = tokenEnd;
+    ++k;
+  }
+}
+
+void PostingShard::replaceDocuments(std::span<const std::uint32_t> docs,
+                                    std::span<const std::string> loweredTexts) {
+  if (docs.size() != loweredTexts.size())
+    throw std::invalid_argument("replaceDocuments: docs/texts size mismatch");
+  std::vector<bool> replaced(docCount_, false);
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    if (docs[i] < docBase_ || docs[i] - docBase_ >= docCount_ ||
+        (i > 0 && docs[i] <= docs[i - 1]))
+      throw std::invalid_argument(
+          "replaceDocuments: ids must ascend inside the shard");
+    replaced[docs[i] - docBase_] = true;
+  }
+
+  // (token, doc) pairs of the new texts, sorted: each token's new ids are a
+  // contiguous ascending run, met in vocabulary order by the merge below.
+  std::vector<std::pair<std::string_view, std::uint32_t>> fresh;
+  std::vector<std::string_view> tokens;
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    tokens.clear();
+    tokenizeAlnum(loweredTexts[i], tokens);
+    for (const auto token : tokens) fresh.emplace_back(token, docs[i]);
+  }
+  std::sort(fresh.begin(), fresh.end());
+  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+
+  // Reserve the most the merge can write (every new pair a new token and a
+  // 5-byte varint), so the rebuilt arrays never grow past it: a patched
+  // shard stays about as compact as a freshly built one.
+  std::size_t freshChars = 0;
+  for (const auto& [token, doc] : fresh) freshChars += token.size();
+  std::string arena;
+  std::vector<std::uint32_t> tokenOffsets;
+  std::vector<std::uint32_t> postingOffsets;
+  std::vector<std::uint8_t> postings;
+  arena.reserve(arena_.size() + freshChars);
+  tokenOffsets.reserve(tokenOffsets_.size() + fresh.size() + 1);
+  postingOffsets.reserve(postingOffsets_.size() + fresh.size() + 1);
+  postings.reserve(postings_.size() + 5 * fresh.size());
+  tokenOffsets.push_back(0);
+  postingOffsets.push_back(0);
+  const auto emit = [&](std::string_view token) {
+    arena += token;
+    tokenOffsets.push_back(static_cast<std::uint32_t>(arena.size()));
+    postingOffsets.push_back(static_cast<std::uint32_t>(postings.size()));
+  };
+
+  std::vector<std::uint32_t> kept;
+  std::vector<std::uint32_t> merged;
+  std::size_t k = 0;
+  std::size_t f = 0;
+  const std::size_t oldTokens = tokenCount();
+  while (k < oldTokens || f < fresh.size()) {
+    const bool takeOld =
+        k < oldTokens && (f == fresh.size() || token(k) <= fresh[f].first);
+    const std::string_view current = takeOld ? token(k) : fresh[f].first;
+
+    // The old list minus the replaced ids; untouched lists copy verbatim.
+    kept.clear();
+    bool touched = false;
+    if (takeOld) {
+      appendTokenPostings(k, kept);
+      const auto firstReplaced = std::find_if(
+          kept.begin(), kept.end(),
+          [&](std::uint32_t id) { return replaced[id - docBase_]; });
+      touched = firstReplaced != kept.end();
+      kept.erase(std::remove_if(firstReplaced, kept.end(),
+                                [&](std::uint32_t id) {
+                                  return replaced[id - docBase_];
+                                }),
+                 kept.end());
+    }
+    const std::size_t freshBegin = f;
+    while (f < fresh.size() && fresh[f].first == current) ++f;
+    if (takeOld) ++k;
+
+    if (takeOld && !touched && f == freshBegin) {
+      postings.insert(postings.end(), postings_.begin() + postingOffsets_[k - 1],
+                      postings_.begin() + postingOffsets_[k]);
+      emit(current);
+      continue;
+    }
+    merged.clear();
+    std::size_t next = freshBegin;
+    for (const auto id : kept) {
+      while (next < f && fresh[next].second < id)
+        merged.push_back(fresh[next++].second);
+      merged.push_back(id);
+    }
+    while (next < f) merged.push_back(fresh[next++].second);
+    if (merged.empty()) continue;  // the token lost its last document
+    std::uint32_t previous = 0;
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      appendVarint(postings, i == 0 ? merged[i] : merged[i] - previous);
+      previous = merged[i];
+    }
+    emit(current);
+  }
+
+  arena_ = std::move(arena);
+  tokenOffsets_ = std::move(tokenOffsets);
+  postingOffsets_ = std::move(postingOffsets);
+  postings_ = std::move(postings);
 }
 
 std::size_t PostingShard::memoryBytes() const {

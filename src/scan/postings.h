@@ -129,10 +129,24 @@ class PostingShard {
 
   /// Append the doc ids of every document whose vocabulary contains a token
   /// with `needle` as a substring — the shard-local half of the whole-corpus
-  /// index's vocabulary pre-filter. Appended ids may repeat across tokens;
-  /// the caller sorts/uniques the union.
+  /// index's vocabulary pre-filter. One memmem pass over the token arena per
+  /// needle: each hit maps to its token through the offsets, a hit that
+  /// crosses a token boundary is rejected, and a matching token is visited
+  /// once, so tokens come out in vocabulary order exactly as a per-token
+  /// scan would give them. An empty needle matches every token. Appended
+  /// ids may repeat across tokens; the caller sorts/uniques the union.
   void appendCandidates(std::string_view needle,
                         std::vector<std::uint32_t>& out) const;
+
+  /// Replace documents in place: `docs` (ascending global ids inside this
+  /// shard) now hold `loweredTexts` (same length, in the same order). Only
+  /// those texts are tokenized; one merge pass over the old vocabulary drops
+  /// the replaced ids, adds the new ones, removes tokens left with no
+  /// document and inserts new tokens in order. The result serializes to the
+  /// same bytes as a fresh Builder fed the shard's current texts. Throws
+  /// std::invalid_argument on unsorted, out-of-range or mismatched input.
+  void replaceDocuments(std::span<const std::uint32_t> docs,
+                        std::span<const std::string> loweredTexts);
 
   /// Heap + arena footprint in bytes (diagnostics / RSS accounting).
   [[nodiscard]] std::size_t memoryBytes() const;

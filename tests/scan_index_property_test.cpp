@@ -8,7 +8,10 @@
 //    and imported (exportShardedIndex round trip, banners fetched back)
 //    forms of one corpus;
 //  - parallel crawl and parallel identifyAll are byte-identical to their
-//    serial counterparts for the same seed.
+//    serial counterparts for the same seed;
+//  - a patched PostingShard serializes to the bytes of a fresh build over
+//    the same texts, and its one-pass candidate scan returns exactly the
+//    tokens a per-token substring test finds.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -246,6 +249,124 @@ TEST(ScanIndexProperty, DeltaIdListRoundTripsRandomAscendingSequences) {
   list.append(5);
   EXPECT_THROW(list.append(5), std::invalid_argument);
   EXPECT_THROW(list.append(4), std::invalid_argument);
+}
+
+std::string shardBytes(const PostingShard& shard) {
+  std::string out;
+  shard.serializeTo(out);
+  return out;
+}
+
+PostingShard buildShard(std::uint32_t docBase,
+                        const std::vector<std::string>& texts) {
+  PostingShard::Builder builder("cell", docBase);
+  for (const auto& text : texts) builder.addDocument(text);
+  return std::move(builder).finish();
+}
+
+TEST(ScanIndexProperty, PatchedShardEqualsAFreshBuild) {
+  std::vector<std::string> texts = {"alpha beta gamma", "beta delta",
+                                    "gamma epsilon zeta", "omega beta"};
+  auto shard = buildShard(100, texts);
+
+  // "delta" and "omega" lose their only documents, "kappa" and "newtoken"
+  // are new, and doc 101 becomes empty.
+  const std::vector<std::uint32_t> docs = {100, 101, 103};
+  const std::vector<std::string> patch = {"alpha alpha kappa", "",
+                                          "beta newtoken"};
+  shard.replaceDocuments(docs, patch);
+  for (std::size_t i = 0; i < docs.size(); ++i) texts[docs[i] - 100] = patch[i];
+  const auto fresh = buildShard(100, texts);
+  EXPECT_EQ(shardBytes(shard), shardBytes(fresh));
+  std::vector<std::string> vocabulary;
+  for (std::size_t k = 0; k < shard.tokenCount(); ++k)
+    vocabulary.emplace_back(shard.token(k));
+  EXPECT_EQ(vocabulary,
+            (std::vector<std::string>{"alpha", "beta", "epsilon", "gamma",
+                                      "kappa", "newtoken", "zeta"}));
+  std::vector<std::uint32_t> beta;
+  shard.appendCandidates("beta", beta);
+  EXPECT_EQ(beta, (std::vector<std::uint32_t>{103}));
+
+  // Random patches over a small vocabulary, round after round.
+  util::Rng rng(4711);
+  const std::vector<std::string> words = {"a",   "b",    "ab",  "ba", "cfru",
+                                          "web", "admin", "x1", "9",  "zz"};
+  const auto randomText = [&] {
+    std::string text;
+    const auto count = rng.index(6);
+    for (std::size_t w = 0; w < count; ++w)
+      text += words[rng.index(words.size())] + (rng.index(2) ? " " : "/");
+    return text;
+  };
+  std::vector<std::string> corpus(40);
+  for (auto& text : corpus) text = randomText();
+  auto patched = buildShard(7, corpus);
+  for (int round = 0; round < 30; ++round) {
+    std::vector<std::uint32_t> ids;
+    std::vector<std::string> newTexts;
+    for (std::uint32_t d = 0; d < corpus.size(); ++d) {
+      if (rng.index(5) != 0) continue;
+      ids.push_back(7 + d);
+      newTexts.push_back(randomText());
+      corpus[d] = newTexts.back();
+    }
+    patched.replaceDocuments(ids, newTexts);
+    ASSERT_EQ(shardBytes(patched), shardBytes(buildShard(7, corpus)))
+        << "round " << round;
+  }
+
+  const std::vector<std::string> one = {"x"};
+  EXPECT_THROW(patched.replaceDocuments(std::vector<std::uint32_t>{6}, one),
+               std::invalid_argument);
+  EXPECT_THROW(patched.replaceDocuments(std::vector<std::uint32_t>{47}, one),
+               std::invalid_argument);
+  EXPECT_THROW(patched.replaceDocuments(std::vector<std::uint32_t>{8, 8},
+                                        std::vector<std::string>{"x", "y"}),
+               std::invalid_argument);
+  EXPECT_THROW(patched.replaceDocuments(std::vector<std::uint32_t>{8, 9}, one),
+               std::invalid_argument);
+}
+
+TEST(ScanIndexProperty, CandidateScanRespectsTokenBoundaries) {
+  // The arena holds "abcd": "bc" occurs in it only across two tokens.
+  const auto shard = buildShard(0, {"ab", "cd", "ab cd"});
+  const auto candidates = [&](std::string_view needle) {
+    std::vector<std::uint32_t> out;
+    shard.appendCandidates(needle, out);
+    return out;
+  };
+  EXPECT_TRUE(candidates("bc").empty());
+  EXPECT_TRUE(candidates("abcd").empty());
+  EXPECT_EQ(candidates("cd"), (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(candidates(""), (std::vector<std::uint32_t>{0, 2, 1, 2}));
+
+  // Against a per-token substring test, on random vocabularies and needles.
+  util::Rng rng(99);
+  const std::string alphabet = "abc";
+  const auto randomWord = [&](std::size_t maxLength) {
+    std::string word;
+    const auto length = rng.index(maxLength + 1);
+    for (std::size_t i = 0; i < length; ++i)
+      word += alphabet[rng.index(alphabet.size())];
+    return word;
+  };
+  for (int round = 0; round < 40; ++round) {
+    std::vector<std::string> texts(12);
+    for (auto& text : texts)
+      for (int w = 0; w < 4; ++w) text += randomWord(5) + " ";
+    const auto random = buildShard(0, texts);
+    for (int n = 0; n < 10; ++n) {
+      const auto needle = randomWord(3);
+      std::vector<std::uint32_t> want;
+      for (std::size_t k = 0; k < random.tokenCount(); ++k)
+        if (random.token(k).find(needle) != std::string_view::npos)
+          random.appendTokenPostings(k, want);
+      std::vector<std::uint32_t> got;
+      random.appendCandidates(needle, got);
+      ASSERT_EQ(got, want) << "needle '" << needle << "' round " << round;
+    }
+  }
 }
 
 TEST(ScanIndexProperty, ShardedIndexSurvivesExportImportRoundTrip) {
