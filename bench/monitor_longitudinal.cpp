@@ -4,7 +4,7 @@
 // A monitoring campaign re-runs scan → identify → re-test on a cadence. The
 // full reference rebuilds the banner index, revalidates every candidate, and
 // refetches every test URL each tick; the incremental pipeline rebuilds only
-// the cells the churn feed marks dirty, reuses validations whose surface
+// the documents the churn feed marks dirty, reuses validations whose surface
 // epoch is unchanged, and reuses verdicts no DB-mutation window touched.
 // Both must produce byte-identical tick digests — this bench runs every
 // (hosts × threads × mode) cell, asserts the digest sequences agree, and
@@ -29,6 +29,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "report/json.h"
@@ -128,6 +129,8 @@ int main(int argc, char** argv) {
 
   report::Json root = report::Json::object();
   root["quick"] = report::Json::boolean(quick);
+  root["cores"] = report::Json::number(
+      static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   root["ticks"] = report::Json::number(std::int64_t{ticks});
   report::Json rows = report::Json::array();
   bool allEqual = true;
@@ -183,6 +186,8 @@ int main(int argc, char** argv) {
           report::Json::number(static_cast<std::int64_t>(last.cellsRebuilt));
       cell["cell_count"] =
           report::Json::number(static_cast<std::int64_t>(last.cellCount));
+      cell["last_docs_reindexed"] =
+          report::Json::number(static_cast<std::int64_t>(last.docsReindexed));
       cell["last_urls_tested"] =
           report::Json::number(static_cast<std::int64_t>(last.urlsTested));
       cell["last_urls_reused"] =

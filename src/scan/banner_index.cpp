@@ -167,6 +167,15 @@ ShardedBannerIndex ShardedBannerIndex::fromParts(
   return out;
 }
 
+void ShardedBannerIndex::setResidentRecords(std::vector<BannerRecord> records,
+                                            std::vector<std::string> lowered) {
+  if (records.size() != lowered.size() || records.size() > docCount())
+    throw std::invalid_argument(
+        "setResidentRecords: records and texts must match, within docCount");
+  residentRecords_ = std::move(records);
+  residentLowered_ = std::move(lowered);
+}
+
 BannerRecord ShardedBannerIndex::fetchRecord(std::uint32_t doc) const {
   if (const auto* resident = residentRecord(doc)) return *resident;
   if (!fetcher_)
@@ -350,26 +359,12 @@ ShardedBannerIndex crawlStream(simnet::World& world,
 
   ShardedBannerIndex index;
 
-  // Probe a batch of already-materialized work into per-slot records.
-  const auto probeBatch = [&](std::size_t count, const auto& probeOne) {
-    if (options.threadLimit == 1) {
-      for (std::size_t i = 0; i < count; ++i) probeOne(i);
-    } else {
-      util::parallelForChunks(
-          count,
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) probeOne(i);
-          },
-          options.threadLimit, 64);
-    }
-  };
-
   // Eagerly bound surfaces lead, in binding order, so doc ids line up with
   // the eagerly materialized reference world. Their records stay resident:
   // queries read the crawl-time banners in place.
   {
     std::vector<BannerRecord> batch(surfaces.size());
-    probeBatch(surfaces.size(), [&](std::size_t i) {
+    probeSlots(surfaces.size(), options.threadLimit, [&](std::size_t i) {
       const auto& surface = surfaces[i];
       probeEndpointInto(*surface.endpoint, surface.ip, surface.port, geo, now,
                         options.bodySnippetLimit, batch[i]);
@@ -388,29 +383,41 @@ ShardedBannerIndex crawlStream(simnet::World& world,
   for (const auto& shard : stream->shards(hostsPerShard)) {
     const auto count = static_cast<std::size_t>(shard.end - shard.begin);
     batch.resize(count);
-    probeBatch(count, [&](std::size_t i) {
-      const auto host = stream->host(shard.begin + i);
-      const auto server = simnet::WorldStream::materializeEndpoint(host);
-      probeEndpointInto(*server, host.ip, host.port, geo, now,
-                        options.bodySnippetLimit, batch[i]);
+    probeSlots(count, options.threadLimit, [&](std::size_t i) {
+      probeStreamedHostInto(*stream, shard.begin + i, geo, now,
+                            options.bodySnippetLimit, batch[i]);
     });
     index.beginShard(shard.label);
     for (const auto& record : batch) index.addRecord(record);
     index.endShard();
   }
 
-  // The fetcher re-materializes streamed docs from the pure host function —
-  // byte-identical to what the crawl indexed.
-  index.setRecordFetcher([&world, &geo, now, limit = options.bodySnippetLimit,
-                          eagerCount](std::uint32_t doc) {
+  index.setRecordFetcher(streamedRecordFetcher(
+      world, geo, now, options.bodySnippetLimit, eagerCount));
+  return index;
+}
+
+void probeStreamedHostInto(const simnet::WorldStream& stream, std::uint64_t id,
+                           const geo::GeoDatabase& geo, util::SimTime now,
+                           std::size_t bodySnippetLimit, BannerRecord& out) {
+  const auto host = stream.host(id);
+  const auto server = simnet::WorldStream::materializeEndpoint(host);
+  probeEndpointInto(*server, host.ip, host.port, geo, now, bodySnippetLimit,
+                    out);
+}
+
+ShardedBannerIndex::RecordFetcher streamedRecordFetcher(
+    simnet::World& world, const geo::GeoDatabase& geo, util::SimTime now,
+    std::size_t bodySnippetLimit, std::uint32_t eagerCount) {
+  return [&world, &geo, now, bodySnippetLimit, eagerCount](std::uint32_t doc) {
     const auto* attached = world.hostStream();
     if (attached == nullptr)
-      throw std::logic_error("crawlStream fetcher: host stream detached");
+      throw std::logic_error("streamed record fetch: host stream detached");
     const auto host = attached->host(doc - eagerCount);
     const auto server = simnet::WorldStream::materializeEndpoint(host);
-    return probeEndpoint(*server, host.ip, host.port, geo, now, limit);
-  });
-  return index;
+    return probeEndpoint(*server, host.ip, host.port, geo, now,
+                         bodySnippetLimit);
+  };
 }
 
 std::vector<BannerRecord> CensusScanner::sweep(

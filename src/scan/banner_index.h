@@ -16,6 +16,7 @@
 #include "scan/postings.h"
 #include "simnet/world.h"
 #include "util/clock.h"
+#include "util/thread_pool.h"
 
 namespace urlf::scan {
 
@@ -120,6 +121,14 @@ class ShardedBannerIndex {
   /// fetcher.
   [[nodiscard]] BannerRecord fetchRecord(std::uint32_t doc) const;
 
+  /// Make docs [0, records.size()) resident: `records[i]` is doc i's record
+  /// and `lowered[i]` its lowered searchable text, exactly as
+  /// addResidentRecord would keep them (an incremental crawl hands over the
+  /// records it already holds). Throws std::invalid_argument when the sizes
+  /// differ or exceed docCount().
+  void setResidentRecords(std::vector<BannerRecord> records,
+                          std::vector<std::string> lowered);
+
   /// The resident records, doc ids [0, size()).
   [[nodiscard]] const std::vector<BannerRecord>& residentRecords() const {
     return residentRecords_;
@@ -219,6 +228,40 @@ void probeEndpointInto(simnet::HttpEndpoint& endpoint, net::Ipv4Addr ip,
                        std::uint16_t port, const geo::GeoDatabase& geo,
                        util::SimTime now, std::size_t bodySnippetLimit,
                        BannerRecord& out);
+
+/// The crawl fan-out every crawl flavour shares: `probeOne(i)` for each slot
+/// i < count on the shared pool in chunks of 64, or serially in slot order
+/// when `threadLimit == 1`. Each probe writes only its own slot, so the
+/// results are identical at any thread count.
+template <typename ProbeOne>
+void probeSlots(std::size_t count, std::size_t threadLimit,
+                const ProbeOne& probeOne) {
+  if (threadLimit == 1) {
+    for (std::size_t i = 0; i < count; ++i) probeOne(i);
+    return;
+  }
+  util::parallelForChunks(
+      count,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) probeOne(i);
+      },
+      threadLimit, 64);
+}
+
+/// Probe streamed host `id`: materialize its endpoint from the pure host
+/// function and probe it into `out` (probeEndpointInto).
+void probeStreamedHostInto(const simnet::WorldStream& stream, std::uint64_t id,
+                           const geo::GeoDatabase& geo, util::SimTime now,
+                           std::size_t bodySnippetLimit, BannerRecord& out);
+
+/// The fetcher of a streamed crawl taken at `now`: doc `doc` is streamed
+/// host `doc - eagerCount` of the stream attached to `world` when the fetch
+/// happens, re-probed — byte-identical to what the crawl indexed. Captures
+/// `world` and `geo` by reference; throws std::logic_error once the stream
+/// is detached.
+[[nodiscard]] ShardedBannerIndex::RecordFetcher streamedRecordFetcher(
+    simnet::World& world, const geo::GeoDatabase& geo, util::SimTime now,
+    std::size_t bodySnippetLimit, std::uint32_t eagerCount);
 
 /// Options for crawlStream.
 struct StreamCrawlOptions {

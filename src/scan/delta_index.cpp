@@ -1,12 +1,12 @@
 #include "scan/delta_index.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 #include "simnet/world_stream.h"
 #include "util/hash.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace urlf::scan {
 
@@ -60,51 +60,23 @@ void IncrementalCrawler::rebuildLayout() {
   }
 }
 
-namespace {
-
-/// Probe a batch of slots, mirroring crawlStream's fan-out (chunk 64,
-/// serial when threadLimit == 1).
-template <typename ProbeOne>
-void probeBatch(std::size_t count, std::size_t threadLimit,
-                const ProbeOne& probeOne) {
-  if (threadLimit == 1) {
-    for (std::size_t i = 0; i < count; ++i) probeOne(i);
-    return;
-  }
-  util::parallelForChunks(
-      count,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) probeOne(i);
-      },
-      threadLimit, 64);
-}
-
-}  // namespace
-
-void IncrementalCrawler::rebuildEagerCell(Cell& cell) const {
-  const auto surfaces = world_->externalSurfaces();
-  const auto now = world_->now();
-  std::vector<BannerRecord> batch(surfaces.size());
-  probeBatch(surfaces.size(), options_.threadLimit, [&](std::size_t i) {
-    const auto& surface = surfaces[i];
-    probeEndpointInto(*surface.endpoint, surface.ip, surface.port, *geo_, now,
-                      options_.bodySnippetLimit, batch[i]);
-  });
-
+void IncrementalCrawler::buildCell(Cell& cell,
+                                   const std::vector<BannerRecord>& records,
+                                   std::vector<std::string>& lowered) const {
   cell.ips.clear();
   cell.ports.clear();
   cell.countryDocs.clear();
-  cell.ips.reserve(batch.size());
-  cell.ports.reserve(batch.size());
+  cell.ips.reserve(records.size());
+  cell.ports.reserve(records.size());
+  lowered.resize(records.size());
   PostingShard::Builder builder(cell.label, cell.docBase);
   std::string text;
-  std::string lowered;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto& record = batch[i];
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& record = records[i];
     text.clear();
     record.appendSearchableText(text);
-    util::toLowerInto(text, lowered);
-    builder.addDocument(lowered);
+    util::toLowerInto(text, lowered[i]);
+    builder.addDocument(lowered[i]);
     cell.ips.push_back(record.ip.value());
     cell.ports.push_back(record.port);
     cell.countryDocs[util::toUpper(record.countryAlpha2)].push_back(
@@ -113,76 +85,152 @@ void IncrementalCrawler::rebuildEagerCell(Cell& cell) const {
   cell.shard = std::move(builder).finish();
 }
 
-void IncrementalCrawler::rebuildStreamCell(Cell& cell) const {
+void IncrementalCrawler::patchCell(Cell& cell,
+                                   const std::vector<std::uint32_t>& docs,
+                                   const std::vector<std::string>& lowered,
+                                   const std::vector<std::string>& countries) {
+  cell.shard.replaceDocuments(docs, lowered);
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    const auto doc = docs[i];
+    const auto alpha2 = util::toUpper(countries[i]);
+    // Every doc sits in exactly one bucket; move it only when it changed,
+    // and drop a bucket it leaves empty (a fresh build has none).
+    for (auto bucket = cell.countryDocs.begin();
+         bucket != cell.countryDocs.end(); ++bucket) {
+      auto& ids = bucket->second;
+      const auto at = std::lower_bound(ids.begin(), ids.end(), doc);
+      if (at == ids.end() || *at != doc) continue;
+      if (bucket->first == alpha2) break;
+      ids.erase(at);
+      if (ids.empty()) cell.countryDocs.erase(bucket);
+      auto& target = cell.countryDocs[alpha2];
+      target.insert(std::lower_bound(target.begin(), target.end(), doc), doc);
+      break;
+    }
+  }
+}
+
+void IncrementalCrawler::refreshEagerCell() {
+  const auto surfaces = world_->externalSurfaces();
+  std::vector<BannerRecord> records(surfaces.size());
+  probeSlots(surfaces.size(), options_.threadLimit, [&](std::size_t i) {
+    const auto& surface = surfaces[i];
+    probeEndpointInto(*surface.endpoint, surface.ip, surface.port, *geo_,
+                      refreshedAt_, options_.bodySnippetLimit, records[i]);
+  });
+
+  auto& cell = cells_.front();
+  std::vector<std::string> lowered;
+  if (structural_) {
+    buildCell(cell, records, lowered);
+    docsReindexed_ += records.size();
+  } else {
+    // Same layout, so doc i is still surface i: patch only the docs whose
+    // indexed content (lowered text, country) moved.
+    lowered.resize(records.size());
+    std::string text;
+    std::vector<std::uint32_t> docs;
+    std::vector<std::string> changedText;
+    std::vector<std::string> changedCountry;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      text.clear();
+      records[i].appendSearchableText(text);
+      util::toLowerInto(text, lowered[i]);
+      if (lowered[i] == eagerLowered_[i] &&
+          records[i].countryAlpha2 == eagerRecords_[i].countryAlpha2)
+        continue;
+      docs.push_back(cell.docBase + static_cast<std::uint32_t>(i));
+      changedText.push_back(lowered[i]);
+      changedCountry.push_back(records[i].countryAlpha2);
+    }
+    if (!docs.empty()) patchCell(cell, docs, changedText, changedCountry);
+    docsReindexed_ += docs.size();
+  }
+  eagerRecords_ = std::move(records);
+  eagerLowered_ = std::move(lowered);
+  ++cellsRebuilt_;
+}
+
+void IncrementalCrawler::refreshStreamCells(const DirtyHostFn& dirtyHost) {
+  if (cells_.size() == 1) return;
   const auto* stream = world_->hostStream();
   if (stream == nullptr)
     throw std::logic_error("IncrementalCrawler: host stream detached");
-  const auto now = world_->now();
-  const auto count = static_cast<std::size_t>(cell.end - cell.begin);
-  std::vector<BannerRecord> batch(count);
-  probeBatch(count, options_.threadLimit, [&](std::size_t i) {
-    const auto host = stream->host(cell.begin + i);
-    const auto server = simnet::WorldStream::materializeEndpoint(host);
-    probeEndpointInto(*server, host.ip, host.port, *geo_, now,
-                      options_.bodySnippetLimit, batch[i]);
-  });
+  const auto probeHosts = [&](const std::vector<std::uint64_t>& ids,
+                              std::vector<BannerRecord>& records) {
+    records.resize(ids.size());
+    probeSlots(ids.size(), options_.threadLimit, [&](std::size_t i) {
+      probeStreamedHostInto(*stream, ids[i], *geo_, refreshedAt_,
+                            options_.bodySnippetLimit, records[i]);
+    });
+  };
 
-  cell.ips.clear();
-  cell.ports.clear();
-  cell.countryDocs.clear();
-  cell.ips.reserve(count);
-  cell.ports.reserve(count);
-  PostingShard::Builder builder(cell.label, cell.docBase);
-  std::string text;
-  std::string lowered;
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto& record = batch[i];
-    text.clear();
-    record.appendSearchableText(text);
-    util::toLowerInto(text, lowered);
-    builder.addDocument(lowered);
-    cell.ips.push_back(record.ip.value());
-    cell.ports.push_back(record.port);
-    cell.countryDocs[util::toUpper(record.countryAlpha2)].push_back(
-        cell.docBase + static_cast<std::uint32_t>(i));
+  std::vector<std::uint64_t> ids;
+  std::vector<BannerRecord> records;
+  std::vector<std::string> lowered;
+  if (structural_) {
+    for (std::size_t c = 1; c < cells_.size(); ++c) {
+      auto& cell = cells_[c];
+      ids.clear();
+      for (auto id = cell.begin; id < cell.end; ++id) ids.push_back(id);
+      probeHosts(ids, records);
+      buildCell(cell, records, lowered);
+      docsReindexed_ += records.size();
+      ++cellsRebuilt_;
+    }
+    return;
   }
-  cell.shard = std::move(builder).finish();
+
+  // Every dirty host of every cell, probed in one batch, then patched into
+  // its cell: cell c owns ids [starts[c - 1], starts[c]).
+  std::vector<std::size_t> starts{0};
+  for (std::size_t c = 1; c < cells_.size(); ++c) {
+    if (dirtyHost)
+      for (auto id = cells_[c].begin; id < cells_[c].end; ++id)
+        if (dirtyHost(id)) ids.push_back(id);
+    starts.push_back(ids.size());
+  }
+  probeHosts(ids, records);
+  lowered.resize(records.size());
+  std::string text;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    text.clear();
+    records[i].appendSearchableText(text);
+    util::toLowerInto(text, lowered[i]);
+  }
+
+  std::vector<std::uint32_t> docs;
+  std::vector<std::string> cellText;
+  std::vector<std::string> cellCountry;
+  for (std::size_t c = 1; c < cells_.size(); ++c) {
+    if (starts[c - 1] == starts[c]) continue;
+    auto& cell = cells_[c];
+    docs.clear();
+    cellText.clear();
+    cellCountry.clear();
+    for (auto i = starts[c - 1]; i < starts[c]; ++i) {
+      docs.push_back(cell.docBase + static_cast<std::uint32_t>(ids[i] - cell.begin));
+      cellText.push_back(std::move(lowered[i]));
+      cellCountry.push_back(std::move(records[i].countryAlpha2));
+    }
+    patchCell(cell, docs, cellText, cellCountry);
+    docsReindexed_ += docs.size();
+    ++cellsRebuilt_;
+  }
 }
 
 void IncrementalCrawler::refresh(const DirtyHostFn& dirtyHost) {
   const auto signature = layoutSignature();
   structural_ = !built_ || signature != signature_;
   signature_ = signature;
+  refreshedAt_ = world_->now();
+  cellsRebuilt_ = 0;
+  docsReindexed_ = 0;
 
+  // A layout change rebuilds everything — stale doc bases are never kept.
   if (structural_) rebuildLayout();
-
-  std::vector<std::size_t> toRebuild;
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    if (structural_ || c == 0) {
-      // Cell 0 is the eager cell: bound surfaces answer live policy/binding
-      // state the change feed cannot see, so it rebuilds every refresh. A
-      // layout change rebuilds everything — stale doc bases are never kept.
-      toRebuild.push_back(c);
-      continue;
-    }
-    const auto& cell = cells_[c];
-    bool dirty = false;
-    if (dirtyHost) {
-      for (std::uint64_t id = cell.begin; id < cell.end && !dirty; ++id)
-        dirty = dirtyHost(id);
-    }
-    if (dirty) toRebuild.push_back(c);
-  }
-
-  for (const auto c : toRebuild) {
-    if (c == 0) {
-      rebuildEagerCell(cells_[c]);
-    } else {
-      rebuildStreamCell(cells_[c]);
-    }
-  }
-
-  cellsRebuilt_ = toRebuild.size();
+  refreshEagerCell();
+  refreshStreamCells(dirtyHost);
   built_ = true;
 }
 
@@ -213,29 +261,11 @@ ShardedBannerIndex IncrementalCrawler::assemble() const {
   auto index = ShardedBannerIndex::fromParts(
       std::move(ips), std::move(ports), std::move(countryBuckets),
       std::move(shards));
-
-  // Eager docs re-probe their bound endpoints (crawlStream keeps them
-  // resident instead; both give the banners of the latest refresh until the
-  // world changes), streamed docs re-materialize the pure host function.
-  auto surfaces = world_->externalSurfaces();
-  const auto eagerCount = static_cast<std::uint32_t>(surfaces.size());
-  index.setRecordFetcher([world = world_, geo = geo_,
-                          surfaces = std::move(surfaces),
-                          now = world_->now(),
-                          limit = options_.bodySnippetLimit,
-                          eagerCount](std::uint32_t doc) {
-    if (doc < eagerCount) {
-      const auto& surface = surfaces[doc];
-      return probeEndpoint(*surface.endpoint, surface.ip, surface.port, *geo,
-                           now, limit);
-    }
-    const auto* attached = world->hostStream();
-    if (attached == nullptr)
-      throw std::logic_error("IncrementalCrawler fetcher: stream detached");
-    const auto host = attached->host(doc - eagerCount);
-    const auto server = simnet::WorldStream::materializeEndpoint(host);
-    return probeEndpoint(*server, host.ip, host.port, *geo, now, limit);
-  });
+  index.setResidentRecords(eagerRecords_, eagerLowered_);
+  if (world_->hostStream() != nullptr)
+    index.setRecordFetcher(streamedRecordFetcher(
+        *world_, *geo_, refreshedAt_, options_.bodySnippetLimit,
+        static_cast<std::uint32_t>(eagerRecords_.size())));
   return index;
 }
 

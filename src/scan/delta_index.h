@@ -19,29 +19,35 @@ struct IncrementalCrawlOptions {
 };
 
 /// Delta-driven re-crawl: keeps one posting cell per crawlStream shard
-/// (the eager-bindings cell plus one cell per stream shard) and rebuilds
-/// only the cells a change feed marks dirty, then reassembles a
-/// ShardedBannerIndex from the cell parts.
+/// (the eager-bindings cell plus one cell per stream shard) and re-indexes
+/// only the documents that changed, then reassembles a ShardedBannerIndex
+/// from the cell parts.
 ///
-/// Equivalence contract (enforced by tests/monitor_incremental_property_test
-/// and the monitor bench): after refresh(dirty) the assembled index is
-/// semantically identical to a fresh crawlStream of the same world — same
-/// doc-id layout (cells replicate crawlStream's shard order exactly), same
-/// postings per cell, same country buckets, same fetched records. That
-/// holds because
+/// Equivalence contract (enforced by tests/world_stream_property_test,
+/// tests/monitor_incremental_property_test and the monitor bench): after
+/// refresh(dirty) the assembled index is byte-identical to a fresh
+/// crawlStream of the same world — same doc-id layout (cells replicate
+/// crawlStream's shard order exactly), same postings per cell, same country
+/// buckets, same resident eager records, same fetched records. That holds
+/// because
 ///   * the cell layout is pinned by a structural signature (the eager
 ///     surface list and the stream shard table); any layout change — a new
-///     binding, an unbind, an attached/detached stream — forces a full
-///     rebuild that tick, so doc ids baked into clean cells can never be
-///     stale, and
-///   * a clean cell's hosts are content-pure between rebuilds (the
-///     WorldStream contract plus the churn feed's exactness), so re-probing
-///     them would reproduce byte-identical records.
+///     binding, an unbind, an attached/detached stream — rebuilds every cell
+///     that tick, so doc ids baked into cells can never be stale;
+///   * a stream host's content changes only when the change feed marks it
+///     dirty (the WorldStream contract plus the feed's exactness), and its
+///     address never changes, so re-probing the dirty hosts and patching
+///     their documents into the cell (PostingShard::replaceDocuments, which
+///     gives the bytes a fresh build gives) reproduces the fresh cell;
+///   * the eager cell's records and lowered text stay resident, as
+///     crawlStream keeps them. Bound surfaces answer live policy state the
+///     feed cannot see, so every refresh re-probes them, patches only the
+///     documents whose lowered searchable text or country changed, and
+///     replaces the resident records with the fresh probe.
 ///
-/// Dirty cells rebuild in parallel (cells are independent; output is
-/// byte-identical at any thread count). Quiet ticks rebuild only the eager
-/// cell — bound surfaces answer live policy state, which the feed cannot
-/// see — so per-tick cost is O(bound surfaces + dirty hosts), not O(world).
+/// A quiet refresh therefore costs the bound surfaces' probe plus work in
+/// proportion to the churned documents, not to the world. Probes fan out
+/// on the shared pool; output is byte-identical at any thread count.
 class IncrementalCrawler {
  public:
   /// The change feed: true when the stream host's content may have changed
@@ -53,18 +59,22 @@ class IncrementalCrawler {
   IncrementalCrawler(simnet::World& world, const geo::GeoDatabase& geo,
                      IncrementalCrawlOptions options = {});
 
-  /// Bring the cells up to date with the world: rebuild the eager cell,
-  /// every cell containing a dirty host, and — on a structural change —
-  /// everything. First call always builds everything.
+  /// Bring the cells up to date with the world: re-probe the bound surfaces
+  /// and every dirty host and patch the documents that changed — or, on a
+  /// structural change, rebuild everything. First call always builds
+  /// everything.
   void refresh(const DirtyHostFn& dirtyHost);
 
-  /// Assemble the current cells into a queryable index. Its fetcher
-  /// re-probes on demand: eager docs through their bound endpoints, streamed
-  /// docs by re-materializing the host.
+  /// Assemble the current cells into a queryable index. Eager docs are
+  /// resident (the last refresh's probe); its fetcher serves streamed docs
+  /// by re-materializing the host, as crawlStream's does.
   [[nodiscard]] ShardedBannerIndex assemble() const;
 
-  /// Diagnostics for the last refresh.
+  /// Diagnostics for the last refresh: cells brought up to date (the eager
+  /// cell, re-probed every refresh, plus each cell holding a dirty host;
+  /// every cell on a structural refresh) and documents re-tokenized.
   [[nodiscard]] std::size_t cellsRebuilt() const { return cellsRebuilt_; }
+  [[nodiscard]] std::size_t docsReindexed() const { return docsReindexed_; }
   [[nodiscard]] std::size_t cellCount() const { return cells_.size(); }
   [[nodiscard]] bool lastRefreshStructural() const { return structural_; }
 
@@ -84,16 +94,30 @@ class IncrementalCrawler {
 
   [[nodiscard]] std::uint64_t layoutSignature() const;
   void rebuildLayout();
-  void rebuildEagerCell(Cell& cell) const;
-  void rebuildStreamCell(Cell& cell) const;
+  /// Index every document of `cell` from its probed records (doc order);
+  /// `lowered` receives their lowered searchable text.
+  void buildCell(Cell& cell, const std::vector<BannerRecord>& records,
+                 std::vector<std::string>& lowered) const;
+  /// Re-index the documents `docs` (ascending, inside `cell`) from their
+  /// new lowered text and crawler-side country.
+  static void patchCell(Cell& cell, const std::vector<std::uint32_t>& docs,
+                        const std::vector<std::string>& lowered,
+                        const std::vector<std::string>& countries);
+  void refreshEagerCell();
+  void refreshStreamCells(const DirtyHostFn& dirtyHost);
 
   simnet::World* world_;
   const geo::GeoDatabase* geo_;
   IncrementalCrawlOptions options_;
   std::vector<Cell> cells_;
+  /// The eager cell's records and their lowered text, from the last probe.
+  std::vector<BannerRecord> eagerRecords_;
+  std::vector<std::string> eagerLowered_;
+  util::SimTime refreshedAt_;
   std::uint64_t signature_ = 0;
   bool built_ = false;
   std::size_t cellsRebuilt_ = 0;
+  std::size_t docsReindexed_ = 0;
   bool structural_ = false;
 };
 

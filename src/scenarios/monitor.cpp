@@ -251,6 +251,8 @@ Json TickReport::toJson() const {
   out["digest"] = Json::string(digestHex());
   out["cells_rebuilt"] = Json::number(static_cast<std::int64_t>(cellsRebuilt));
   out["cell_count"] = Json::number(static_cast<std::int64_t>(cellCount));
+  out["docs_reindexed"] =
+      Json::number(static_cast<std::int64_t>(docsReindexed));
   out["validation_hits"] =
       Json::number(static_cast<std::int64_t>(validationHits));
   out["validation_misses"] =
@@ -524,6 +526,7 @@ TickReport MonitorSession::runTick() {
     index_ = crawler_->assemble();
     report.cellsRebuilt = crawler_->cellsRebuilt();
     report.cellCount = crawler_->cellCount();
+    report.docsReindexed = crawler_->docsReindexed();
   }
   report.scanMs = millisSince(scanStart);
 

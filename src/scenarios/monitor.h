@@ -126,6 +126,7 @@ struct TickReport {
   // Perf counters (incremental mode; zero under kFull where not shared).
   std::size_t cellsRebuilt = 0;
   std::size_t cellCount = 0;
+  std::size_t docsReindexed = 0;     ///< index documents re-tokenized
   std::size_t validationHits = 0;    ///< candidate validations reused
   std::size_t validationMisses = 0;  ///< candidate validations executed
   std::size_t urlsTested = 0;        ///< URLs fetched this tick
@@ -156,7 +157,8 @@ struct MonitorReport {
 /// churn (stream content redraws, vendor DB mutations, scripted deployment
 /// events), then re-runs the pipeline — under kIncremental touching only
 /// what the change feed proves dirty:
-///   * re-scan: IncrementalCrawler rebuilds only cells holding dirty hosts,
+///   * re-scan: IncrementalCrawler re-indexes only the churned documents
+///     (dirty hosts, bound surfaces whose banner moved),
 ///   * re-identify: Identifier::ValidationCache reuses validations whose
 ///     surface epoch (the churn feed's lastContentChange) is unchanged,
 ///   * re-test: verdicts are reused for URLs no DB mutation window touched,
@@ -204,6 +206,10 @@ class MonitorSession {
   /// Digest chain over every completed tick.
   [[nodiscard]] std::uint64_t chainDigest() const { return chain_; }
   [[nodiscard]] const MonitorOptions& options() const { return options_; }
+  /// The stream churn feed; null when the world has no streamed hosts.
+  [[nodiscard]] const simnet::ChurnHostStream* churnFeed() const {
+    return churn_.get();
+  }
 
   MonitorSession(const MonitorSession&) = delete;
   MonitorSession& operator=(const MonitorSession&) = delete;

@@ -110,30 +110,40 @@ TEST(MonitorIncremental, QuietTicksTouchLittle) {
   options.churn.rebrandRate = 0.01;
   options.churn.parkRate = 0.0;
   options.churn.dbMutationsPerTick = 1;
-  options.ticks = 4;
   options.mode = MonitorMode::kIncremental;
-  const auto report = runMonitor(options);
+  const auto session = MonitorSession::create(options);
+  ASSERT_NE(session->churnFeed(), nullptr);
 
-  ASSERT_EQ(report.ticks.size(), 5u);
-  const auto& baseline = report.ticks[0];
+  const auto baseline = session->runTick();
   // The baseline builds every cell and validates every candidate fresh.
   EXPECT_EQ(baseline.cellsRebuilt, baseline.cellCount);
+  EXPECT_GE(baseline.docsReindexed, options.streamHosts);
   EXPECT_EQ(baseline.validationHits, 0u);
   EXPECT_EQ(baseline.urlsReused, 0u);
 
-  for (std::size_t i = 1; i < report.ticks.size(); ++i) {
-    const auto& tick = report.ticks[i];
+  std::size_t churnedTotal = 0;
+  for (int t = 1; t <= 4; ++t) {
+    const auto tick = session->runTick();
+    std::size_t churned = 0;
+    for (std::uint64_t id = 0; id < options.streamHosts; ++id)
+      if (session->churnFeed()->dirtyAt(id, static_cast<std::uint64_t>(t)))
+        ++churned;
+    churnedTotal += churned;
     // Quiet ticks rebuild a strict minority of cells (the eager cell plus
     // the few holding churned hosts)...
     EXPECT_LT(tick.cellsRebuilt, tick.cellCount / 2)
         << "tick " << tick.tick << " rebuilt " << tick.cellsRebuilt << "/"
         << tick.cellCount;
+    // ...re-index only the churned hosts (no scripted event runs, so no
+    // bound surface's banner moves and no eager doc changes)...
+    EXPECT_LE(tick.docsReindexed, churned) << "tick " << tick.tick;
     // ...reuse the bulk of prior validations...
     EXPECT_GT(tick.validationHits, tick.validationMisses)
         << "tick " << tick.tick;
     // ...and reuse the bulk of prior verdicts.
     EXPECT_GT(tick.urlsReused, tick.urlsTested) << "tick " << tick.tick;
   }
+  EXPECT_GT(churnedTotal, 0u) << "the churn rate should dirty some hosts";
 }
 
 TEST(MonitorIncremental, ScriptedEventForcesFullRetest) {
@@ -162,6 +172,11 @@ TEST(MonitorReportJson, TickReportRoundTripsItsCounters) {
   EXPECT_EQ(*json.find("digest")->asString(), report.ticks[1].digestHex());
   EXPECT_EQ(*json.find("urls_tested")->asNumber(),
             static_cast<double>(report.ticks[1].urlsTested));
+  EXPECT_EQ(*json.find("cells_rebuilt")->asNumber(),
+            static_cast<double>(report.ticks[1].cellsRebuilt));
+  EXPECT_EQ(*json.find("docs_reindexed")->asNumber(),
+            static_cast<double>(report.ticks[1].docsReindexed));
+  EXPECT_GT(report.ticks[1].docsReindexed, 0u);
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
 //    crawled banners, while streamed docs are re-materialized;
 //  - incremental ≡ full: after every IncrementalCrawler::refresh over a
 //    churning stream, the assembled index is byte-identical to a fresh
-//    crawlStream of the same world, and serves the same records, at 1 and 4
-//    threads.
+//    crawlStream of the same world, keeps the same resident records and
+//    serves the same records, at 1 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -329,6 +329,8 @@ TEST(WorldStreamProperty, IncrementalCrawlerMatchesAFreshCrawlEveryTick) {
       const auto fresh = scan::crawlStream(world, geo, freshOptions);
       ASSERT_EQ(scan::exportShardedIndex(incremental),
                 scan::exportShardedIndex(fresh));
+      EXPECT_EQ(scan::exportRecords(incremental.residentRecords(), 0),
+                scan::exportRecords(fresh.residentRecords(), 0));
       std::vector<scan::BannerRecord> got;
       std::vector<scan::BannerRecord> want;
       for (std::uint32_t doc = 0; doc < fresh.docCount(); ++doc) {
