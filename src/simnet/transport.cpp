@@ -215,6 +215,9 @@ FetchResult Transport::fetchAttempt(const VantagePoint& vantage,
   FetchResult result = fetchOnce(vantage, request, options, attempt);
   if (!options.followRedirects) return result;
 
+  // The URL of the hop that answered: a relative Location resolves
+  // against it, not against the first request.
+  net::Url current = request.url;
   int hops = 0;
   while (result.ok() && result.response->isRedirect() &&
          hops < options.maxRedirects) {
@@ -223,18 +226,18 @@ FetchResult Transport::fetchAttempt(const VantagePoint& vantage,
 
     std::optional<net::Url> target = net::Url::parse(*location);
     if (!target) {
-      // Relative redirect: resolve against the current request URL.
       std::string path(*location);
       if (path.empty() || path.front() != '/') break;
       const std::size_t qmark = path.find('?');
-      target = net::Url{request.url.scheme(), request.url.host(),
-                        request.url.explicitPort(),
+      target = net::Url{current.scheme(), current.host(),
+                        current.explicitPort(),
                         qmark == std::string::npos ? path : path.substr(0, qmark),
                         qmark == std::string::npos ? "" : path.substr(qmark + 1)};
     }
 
     std::vector<http::Response> chain = std::move(result.redirectChain);
     chain.push_back(std::move(*result.response));
+    current = *target;
     const http::Request hop = http::Request::get(std::move(*target));
     result = fetchOnce(vantage, hop, options, attempt);
     // Keep the accumulated chain regardless of the hop's outcome.

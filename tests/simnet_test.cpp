@@ -72,6 +72,16 @@ struct RelativeRedirector : HttpEndpoint {
   std::string describe() const override { return "relative"; }
 };
 
+/// Redirects every request to http://relative.example/ (another host).
+struct CrossHostRedirector : HttpEndpoint {
+  http::Response handle(const http::Request&, util::SimTime) override {
+    auto resp = http::Response::make(http::Status::kFound);
+    resp.headers.add("Location", "http://relative.example/");
+    return resp;
+  }
+  std::string describe() const override { return "cross-host"; }
+};
+
 class SimnetFixture : public ::testing::Test {
  protected:
   SimnetFixture() : world(1234) {
@@ -356,6 +366,25 @@ TEST_F(SimnetFixture, RelativeRedirectResolvesAgainstHost) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.response->statusCode, 200);
   EXPECT_NE(result.response->body.find("landed"), std::string::npos);
+}
+
+TEST_F(SimnetFixture, RelativeRedirectAfterCrossHostHopStaysOnThatHop) {
+  auto& first = world.makeEndpoint<CrossHostRedirector>();
+  auto& second = world.makeEndpoint<RelativeRedirector>();
+  const auto firstIp = world.allocateAddress(200);
+  const auto secondIp = world.allocateAddress(200);
+  world.bind(firstIp, 80, first, true);
+  world.bind(secondIp, 80, second, true);
+  world.registerHostname("hop.example", firstIp);
+  world.registerHostname("relative.example", secondIp);
+
+  // hop.example -> relative.example/ -> "/landing?x=1" on relative.example.
+  Transport transport(world);
+  const auto result = transport.fetchUrl(*lab, "http://hop.example/");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.response->statusCode, 200);
+  EXPECT_NE(result.response->body.find("landed"), std::string::npos);
+  EXPECT_EQ(result.redirectChain.size(), 2u);
 }
 
 // -------------------------------------------------------- OriginServer ----
