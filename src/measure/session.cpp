@@ -62,9 +62,7 @@ std::optional<simnet::FetchResult> fetchFromJson(const Json& json) {
   fetch.outcome = *parsedOutcome;
   if (const auto* error = json.find("error"); error && error->asString())
     fetch.error = *error->asString();
-  if (const auto* attempts = json.find("attempts");
-      attempts && attempts->asNumber())
-    fetch.attempts = static_cast<int>(*attempts->asNumber());
+  if (!json.readCount("attempts", fetch.attempts)) return std::nullopt;
   if (const auto* fault = json.find("injected_fault");
       fault && fault->asString()) {
     using FK = simnet::FaultKind;

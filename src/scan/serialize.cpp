@@ -1,5 +1,7 @@
 #include "scan/serialize.h"
 
+#include <limits>
+
 #include "util/hash.h"
 
 namespace urlf::scan {
@@ -53,11 +55,13 @@ std::optional<BannerRecord> recordFromJson(const Json& json) {
   };
 
   const auto ipText = getString("ip");
-  const auto port = getNumber("port");
-  const auto status = getNumber("status");
-  if (!ipText || !port || !status) return std::nullopt;
+  const auto portNumber = getNumber("port");
+  const auto statusNumber = getNumber("status");
+  if (!ipText || !portNumber || !statusNumber) return std::nullopt;
   const auto ip = net::Ipv4Addr::parse(*ipText);
-  if (!ip || *port < 0 || *port > 65535) return std::nullopt;
+  const auto port = report::boundedInteger(*portNumber, 0, 65535);
+  const auto status = report::boundedInteger(*statusNumber, 0, 999);
+  if (!ip || !port || !status) return std::nullopt;
 
   BannerRecord record;
   record.ip = *ip;
@@ -66,8 +70,12 @@ std::optional<BannerRecord> recordFromJson(const Json& json) {
   record.body = getString("body").value_or("");
   record.title = getString("title").value_or("");
   record.countryAlpha2 = getString("country").value_or("");
-  if (const auto hours = getNumber("observed_at_hours"))
-    record.observedAt = util::SimTime{static_cast<std::int64_t>(*hours)};
+  if (const auto hours = getNumber("observed_at_hours")) {
+    const auto checked = report::boundedInteger(
+        *hours, 0, std::numeric_limits<std::int64_t>::max());
+    if (!checked) return std::nullopt;
+    record.observedAt = util::SimTime{*checked};
+  }
 
   if (const auto* headers = json.find("headers")) {
     const auto* array = headers->asArray();

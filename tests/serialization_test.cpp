@@ -228,6 +228,25 @@ TEST(ScanSerializeTest, ImportRejectsMalformed) {
   EXPECT_EQ((*minimal)[0].ip.toString(), "1.1.1.1");
 }
 
+TEST(ScanSerializeTest, ImportRefusesOutOfRangeIntegers) {
+  const auto record = [](const std::string& port, const std::string& status,
+                         const std::string& hours) {
+    return R"([{"ip": "1.1.1.1", "port": )" + port + R"(, "status": )" +
+           status + R"(, "observed_at_hours": )" + hours + "}]";
+  };
+  const auto good = scan::importRecords(record("8080", "403", "12"));
+  ASSERT_TRUE(good);
+  EXPECT_EQ((*good)[0].port, 8080);
+  EXPECT_EQ((*good)[0].statusCode, 403);
+  EXPECT_EQ((*good)[0].observedAt.hours(), 12);
+  for (const std::string bad : {"1e300", "-1", "2.5"}) {
+    EXPECT_FALSE(scan::importRecords(record(bad, "200", "0"))) << bad;
+    EXPECT_FALSE(scan::importRecords(record("80", bad, "0"))) << bad;
+    EXPECT_FALSE(scan::importRecords(record("80", "200", bad))) << bad;
+  }
+  EXPECT_FALSE(scan::importRecords(record("80.5", "200", "0")));
+}
+
 // --------------------------------------------------- Result serializers ----
 
 TEST(ResultJsonTest, CaseStudyResultShape) {

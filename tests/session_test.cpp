@@ -66,6 +66,23 @@ TEST_F(SessionFixture, ImportRejectsMalformed) {
            "lab": {"outcome": "ok"}}])"));
 }
 
+TEST_F(SessionFixture, ImportRefusesOutOfRangeAttempts) {
+  // Export writes "attempts" only above 1; put one on the first fetch.
+  const auto text = exportSession(runSession());
+  const std::string outcome = "\"outcome\":";
+  ASSERT_NE(text.find(outcome), std::string::npos);
+  const auto withAttempts = [&](const std::string& value) {
+    auto edited = text;
+    edited.insert(edited.find(outcome), "\"attempts\":" + value + ",");
+    return edited;
+  };
+  const auto three = importSession(withAttempts("3"));
+  ASSERT_TRUE(three);
+  EXPECT_EQ((*three)[0].field.attempts, 3);
+  for (const std::string bad : {"1e300", "-1", "2.5"})
+    EXPECT_FALSE(importSession(withAttempts(bad))) << bad;
+}
+
 TEST_F(SessionFixture, ReclassifyWithEmptyLibraryLosesAttribution) {
   auto session = runSession();
   int blockedBefore = 0;
