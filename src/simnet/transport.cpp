@@ -215,9 +215,10 @@ FetchResult Transport::fetchAttempt(const VantagePoint& vantage,
   FetchResult result = fetchOnce(vantage, request, options, attempt);
   if (!options.followRedirects) return result;
 
-  // The URL of the hop that answered: a relative Location resolves
-  // against it, not against the first request.
-  net::Url current = request.url;
+  // The request of the hop that answered: a relative Location resolves
+  // against its URL, not against the first request's.
+  const http::Request* current = &request;
+  http::Request hop;
   int hops = 0;
   while (result.ok() && result.response->isRedirect() &&
          hops < options.maxRedirects) {
@@ -229,16 +230,16 @@ FetchResult Transport::fetchAttempt(const VantagePoint& vantage,
       std::string path(*location);
       if (path.empty() || path.front() != '/') break;
       const std::size_t qmark = path.find('?');
-      target = net::Url{current.scheme(), current.host(),
-                        current.explicitPort(),
+      const net::Url& base = current->url;
+      target = net::Url{base.scheme(), base.host(), base.explicitPort(),
                         qmark == std::string::npos ? path : path.substr(0, qmark),
                         qmark == std::string::npos ? "" : path.substr(qmark + 1)};
     }
 
     std::vector<http::Response> chain = std::move(result.redirectChain);
     chain.push_back(std::move(*result.response));
-    current = *target;
-    const http::Request hop = http::Request::get(std::move(*target));
+    hop = http::Request::get(std::move(*target));
+    current = &hop;
     result = fetchOnce(vantage, hop, options, attempt);
     // Keep the accumulated chain regardless of the hop's outcome.
     chain.insert(chain.end(),
