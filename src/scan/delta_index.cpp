@@ -60,22 +60,34 @@ void IncrementalCrawler::rebuildLayout() {
   }
 }
 
+namespace {
+
+/// Each record's lowered searchable text — what the index tokenizes.
+std::vector<std::string> loweredTexts(
+    const std::vector<BannerRecord>& records) {
+  std::vector<std::string> lowered(records.size());
+  std::string text;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    text.clear();
+    records[i].appendSearchableText(text);
+    util::toLowerInto(text, lowered[i]);
+  }
+  return lowered;
+}
+
+}  // namespace
+
 void IncrementalCrawler::buildCell(Cell& cell,
                                    const std::vector<BannerRecord>& records,
-                                   std::vector<std::string>& lowered) const {
+                                   const std::vector<std::string>& lowered) {
   cell.ips.clear();
   cell.ports.clear();
   cell.countryDocs.clear();
   cell.ips.reserve(records.size());
   cell.ports.reserve(records.size());
-  lowered.resize(records.size());
   PostingShard::Builder builder(cell.label, cell.docBase);
-  std::string text;
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto& record = records[i];
-    text.clear();
-    record.appendSearchableText(text);
-    util::toLowerInto(text, lowered[i]);
     builder.addDocument(lowered[i]);
     cell.ips.push_back(record.ip.value());
     cell.ports.push_back(record.port);
@@ -120,22 +132,17 @@ void IncrementalCrawler::refreshEagerCell() {
   });
 
   auto& cell = cells_.front();
-  std::vector<std::string> lowered;
+  auto lowered = loweredTexts(records);
   if (structural_) {
     buildCell(cell, records, lowered);
     docsReindexed_ += records.size();
   } else {
     // Same layout, so doc i is still surface i: patch only the docs whose
     // indexed content (lowered text, country) moved.
-    lowered.resize(records.size());
-    std::string text;
     std::vector<std::uint32_t> docs;
     std::vector<std::string> changedText;
     std::vector<std::string> changedCountry;
     for (std::size_t i = 0; i < records.size(); ++i) {
-      text.clear();
-      records[i].appendSearchableText(text);
-      util::toLowerInto(text, lowered[i]);
       if (lowered[i] == eagerLowered_[i] &&
           records[i].countryAlpha2 == eagerRecords_[i].countryAlpha2)
         continue;
@@ -167,14 +174,13 @@ void IncrementalCrawler::refreshStreamCells(const DirtyHostFn& dirtyHost) {
 
   std::vector<std::uint64_t> ids;
   std::vector<BannerRecord> records;
-  std::vector<std::string> lowered;
   if (structural_) {
     for (std::size_t c = 1; c < cells_.size(); ++c) {
       auto& cell = cells_[c];
       ids.clear();
       for (auto id = cell.begin; id < cell.end; ++id) ids.push_back(id);
       probeHosts(ids, records);
-      buildCell(cell, records, lowered);
+      buildCell(cell, records, loweredTexts(records));
       docsReindexed_ += records.size();
       ++cellsRebuilt_;
     }
@@ -191,13 +197,7 @@ void IncrementalCrawler::refreshStreamCells(const DirtyHostFn& dirtyHost) {
     starts.push_back(ids.size());
   }
   probeHosts(ids, records);
-  lowered.resize(records.size());
-  std::string text;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    text.clear();
-    records[i].appendSearchableText(text);
-    util::toLowerInto(text, lowered[i]);
-  }
+  auto lowered = loweredTexts(records);
 
   std::vector<std::uint32_t> docs;
   std::vector<std::string> cellText;
@@ -209,7 +209,8 @@ void IncrementalCrawler::refreshStreamCells(const DirtyHostFn& dirtyHost) {
     cellText.clear();
     cellCountry.clear();
     for (auto i = starts[c - 1]; i < starts[c]; ++i) {
-      docs.push_back(cell.docBase + static_cast<std::uint32_t>(ids[i] - cell.begin));
+      docs.push_back(cell.docBase +
+                     static_cast<std::uint32_t>(ids[i] - cell.begin));
       cellText.push_back(std::move(lowered[i]));
       cellCountry.push_back(std::move(records[i].countryAlpha2));
     }

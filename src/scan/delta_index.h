@@ -94,10 +94,10 @@ class IncrementalCrawler {
 
   [[nodiscard]] std::uint64_t layoutSignature() const;
   void rebuildLayout();
-  /// Index every document of `cell` from its probed records (doc order);
-  /// `lowered` receives their lowered searchable text.
-  void buildCell(Cell& cell, const std::vector<BannerRecord>& records,
-                 std::vector<std::string>& lowered) const;
+  /// Index every document of `cell` from its probed records (doc order)
+  /// and their lowered searchable text.
+  static void buildCell(Cell& cell, const std::vector<BannerRecord>& records,
+                        const std::vector<std::string>& lowered);
   /// Re-index the documents `docs` (ascending, inside `cell`) from their
   /// new lowered text and crawler-side country.
   static void patchCell(Cell& cell, const std::vector<std::uint32_t>& docs,

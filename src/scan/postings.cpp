@@ -269,7 +269,8 @@ void PostingShard::replaceDocuments(std::span<const std::uint32_t> docs,
     if (takeOld) ++k;
 
     if (takeOld && !touched && f == freshBegin) {
-      postings.insert(postings.end(), postings_.begin() + postingOffsets_[k - 1],
+      postings.insert(postings.end(),
+                      postings_.begin() + postingOffsets_[k - 1],
                       postings_.begin() + postingOffsets_[k]);
       emit(current);
       continue;

@@ -322,7 +322,8 @@ TEST(WorldStreamProperty, IncrementalCrawlerMatchesAFreshCrawlEveryTick) {
       if (tick == 4)
         world.bind(world.allocateAddress(64998), 80, late, true);
       churn->setTick(tick);
-      crawler.refresh([&](std::uint64_t id) { return churn->dirtyAt(id, tick); });
+      crawler.refresh(
+          [&](std::uint64_t id) { return churn->dirtyAt(id, tick); });
       EXPECT_EQ(crawler.lastRefreshStructural(), tick == 0 || tick == 4);
 
       const auto incremental = crawler.assemble();
