@@ -413,10 +413,10 @@ ShardedBannerIndex::RecordFetcher streamedRecordFetcher(
     const auto* attached = world.hostStream();
     if (attached == nullptr)
       throw std::logic_error("streamed record fetch: host stream detached");
-    const auto host = attached->host(doc - eagerCount);
-    const auto server = simnet::WorldStream::materializeEndpoint(host);
-    return probeEndpoint(*server, host.ip, host.port, geo, now,
-                         bodySnippetLimit);
+    BannerRecord record;
+    probeStreamedHostInto(*attached, doc - eagerCount, geo, now,
+                          bodySnippetLimit, record);
+    return record;
   };
 }
 
